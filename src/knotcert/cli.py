@@ -258,13 +258,14 @@ def _cmd_cobordism(args, config: Config):
         record = cobordisms.build_R(params)
     else:
         record = cobordisms.build_P(params)
-    defin = exactmath.definiteness(record.form)
+    form = record.form
+    defin = exactmath.sign_blocks_definiteness([record.sign])
     payload = {
         "label": record.label.value,
         "params": _satellite(params),
         "incoming": _component(record.incoming),
         "outgoing": [_component(b) for b in record.outgoing],
-        "form": _matrix(record.form),
+        "form": _matrix(form),
         "definiteness": defin.value,
         "h1_z2_trivial": record.h1_z2_trivial,
         "handle_count": str(record.handle_count),
@@ -273,7 +274,7 @@ def _cmd_cobordism(args, config: Config):
         [
             f"{record}: {record.incoming} -> "
             + (", ".join(str(b) for b in record.outgoing) if record.outgoing else "(empty)"),
-            f"form: {record.form} ({defin})",
+            f"form: {form} ({defin})",
             f"h1_z2_trivial: {record.h1_z2_trivial}",
         ]
     )

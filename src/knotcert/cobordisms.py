@@ -13,7 +13,8 @@ intersection form, and homology flags.  With Sigma = Sigma_2(D_n(T_{p,q})):
 
 All three have trivial integral first homology.  The records are certified
 summaries, not handle-by-handle 4-manifold structures: downstream consumers
-need only boundaries, forms, and flags.
+need only boundaries, forms (carried as sign and size, materialised only
+on request), and flags.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .covers import (
     post_surgery_gluing,
     slope_from_filling,
 )
-from .errors import InvalidParams
-from .exactmath import Definiteness, SymIntMatrix, definiteness
+from .errors import InvalidParams, UnsupportedSlope
+from .exactmath import SymIntMatrix
 from .fs_invariant import BrieskornSphere
 
 BoundarySpace = Union[BranchedCover, BrieskornSphere, ThreeSphere]
@@ -72,16 +73,15 @@ class BoundaryComponent:
 class CobordismRecord:
     """Certified summary of one Z/R/P construction.
 
-    orientation is +1 for the cobordism as built and -1 for its reversal;
-    the label-specific form shapes below hold for orientation +1 and negate
-    under reversal.
+    orientation is +1 for the cobordism as built and -1 for its reversal.
+    The intersection form is sign * I_handle_count, carried as that sign and
+    size; form materialises the dense matrix on each access.
     """
 
     label: CobordismLabel
     params: SatelliteParams
     incoming: BoundaryComponent
     outgoing: tuple[BoundaryComponent, ...]
-    form: SymIntMatrix
     h1_z2_trivial: bool
     handle_count: int
     orientation: int = 1
@@ -91,6 +91,16 @@ class CobordismRecord:
             raise InvalidParams(f"handle count must be >= 1, got {self.handle_count}")
         if self.orientation not in (1, -1):
             raise InvalidParams("orientation must be +1 or -1")
+
+    @property
+    def sign(self) -> int:
+        """Handle framing sign: -1 for Z and R, +1 for P, times orientation."""
+        return (1 if self.label is CobordismLabel.P else -1) * self.orientation
+
+    @property
+    def form(self) -> SymIntMatrix:
+        """The intersection form sign * I_handle_count as a dense matrix."""
+        return SymIntMatrix.identity(self.handle_count, scale=self.sign)
 
     def __str__(self) -> str:
         sign = "" if self.orientation == 1 else "-"
@@ -118,14 +128,11 @@ def build_Z(s: SatelliteParams, crossings: int | None = None) -> CobordismRecord
     decomposition = double_cover_decomposition(s)
     slope = slope_from_filling(decomposition.gluings[0], KILL_LONGITUDE)
     outgoing = moser_identify(s.p, s.q, slope)
-    form = SymIntMatrix.identity(c, scale=-1)
-    assert definiteness(form) is Definiteness.NEGATIVE_DEFINITE
     return CobordismRecord(
         label=CobordismLabel.Z,
         params=s,
         incoming=BoundaryComponent(BranchedCover(s)),
         outgoing=(BoundaryComponent(outgoing),),
-        form=form,
         h1_z2_trivial=True,
         handle_count=c,
     )
@@ -139,15 +146,13 @@ def build_R(s: SatelliteParams) -> CobordismRecord:
     """
     slope = slope_from_filling(post_surgery_gluing(s.n, handle_sign=-1), KILL_MERIDIAN)
     capped = moser_identify(s.p, s.q, slope)
-    assert isinstance(capped, ThreeSphere)
-    form = SymIntMatrix.identity(s.n, scale=-1)
-    assert definiteness(form) is Definiteness.NEGATIVE_DEFINITE
+    if not isinstance(capped, ThreeSphere):
+        raise UnsupportedSlope(f"R filling slope {slope} yields {capped}, not S^3")
     return CobordismRecord(
         label=CobordismLabel.R,
         params=s,
         incoming=BoundaryComponent(BranchedCover(s)),
         outgoing=(),
-        form=form,
         h1_z2_trivial=True,
         handle_count=s.n,
     )
@@ -159,26 +164,22 @@ def build_P(s: SatelliteParams) -> CobordismRecord:
     copy induced by the +1-framed handles."""
     slope = slope_from_filling(post_surgery_gluing(s.n, handle_sign=+1), KILL_MERIDIAN)
     outgoing = moser_identify(s.p, s.q, slope)
-    form = SymIntMatrix.identity(s.n, scale=1)
-    assert definiteness(form) is Definiteness.POSITIVE_DEFINITE
     return CobordismRecord(
         label=CobordismLabel.P,
         params=s,
         incoming=BoundaryComponent(BranchedCover(s)),
         outgoing=(BoundaryComponent(outgoing, multiplicity=2),),
-        form=form,
         h1_z2_trivial=True,
         handle_count=s.n,
     )
 
 
 def reverse_orientation(r: CobordismRecord) -> CobordismRecord:
-    """Orientation reversal: negates the form, flips every boundary
-    component, and swaps the definiteness class.  An involution."""
+    """Orientation reversal: flips the orientation, hence the form's sign and
+    definiteness class, and every boundary component.  An involution."""
     return replace(
         r,
         incoming=r.incoming.reversed(),
         outgoing=tuple(b.reversed() for b in r.outgoing),
-        form=-r.form,
         orientation=-r.orientation,
     )

@@ -15,9 +15,9 @@ and the columns of a gluing matrix are the images of (mu, lambda).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .cs_invariants import _validate_triple
 from .errors import InvalidParams, UnsupportedSlope
 from .exactmath import Slope
 from .fs_invariant import BrieskornSphere
@@ -43,10 +43,7 @@ class SatelliteParams:
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2 != 0:
             raise InvalidParams(f"n must be a positive even integer, got {self.n}")
-        if self.p < 2 or self.q < 2:
-            raise InvalidParams(f"p, q must be >= 2, got ({self.p}, {self.q})")
-        if math.gcd(self.p, self.q) != 1:
-            raise InvalidParams(f"p, q must be coprime, got ({self.p}, {self.q})")
+        _validate_triple(self.p, self.q)
 
     def __str__(self) -> str:
         return f"D_{self.n}(T({self.p},{self.q}))"
@@ -225,10 +222,10 @@ def slope_from_filling(g: TorusGluingMap, killed: tuple[int, int]) -> Slope:
         raise InvalidParams(f"killed must be (1, 0) or (0, 1), got {killed}")
     m = g.matrix
     det = g.determinant
-    # inverse = adj / det and det = +-1, so det * adj is the integer inverse
+    # TorusGluingMap guarantees det = +-1, so det * adj is the exact integer
+    # inverse and g(a, b) = killed holds by construction.
     a = det * (m[1][1] * killed[0] - m[0][1] * killed[1])
     b = det * (-m[1][0] * killed[0] + m[0][0] * killed[1])
-    assert g.apply((a, b)) in (killed, (-killed[0], -killed[1]))
     return Slope(a, b)
 
 
@@ -240,8 +237,7 @@ def moser_identify(p: int, q: int, s: Slope) -> BrieskornSphere | ThreeSphere:
     slope is outside the family this library handles and raises
     UnsupportedSlope.
     """
-    if p < 2 or q < 2 or math.gcd(p, q) != 1:
-        raise InvalidParams(f"p, q must be coprime and >= 2, got ({p}, {q})")
+    _validate_triple(p, q)
     if s == Slope(1, 0):
         return THREE_SPHERE
     if s.a == 1 and s.b >= 1:

@@ -15,13 +15,19 @@ from typing import Iterable, Sequence
 from .errors import InvalidParams, NonIntegerCount
 
 
-def _validate_triple(p: int, q: int, k: int) -> None:
+def _validate_triple(p: int, q: int, k: int = 1) -> None:
+    """The one rule for (p, q, k): p, q >= 2 coprime, k >= 1 (omitted for a pair)."""
     if p < 2 or q < 2:
         raise InvalidParams(f"p, q must be >= 2, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise InvalidParams(f"p, q must be coprime, got ({p}, {q})")
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
+
+
+def _growth(p: int, q: int, k: int) -> int:
+    """p*q*(k*p*q - 1): 1/tau(Sigma(p, q, k*p*q - 1)) and the chain criterion's sides."""
+    return p * q * (k * p * q - 1)
 
 
 @dataclass(frozen=True)
@@ -63,16 +69,14 @@ class H1Data:
 def tau_brieskorn_family(p: int, q: int, k: int) -> TauValue:
     """tau(Sigma(p, q, k*p*q - 1)) = 1 / (p*q*(k*p*q - 1)), exactly."""
     _validate_triple(p, q, k)
-    return TauValue(Fraction(1, p * q * (k * p * q - 1)))
+    return TauValue(Fraction(1, _growth(p, q, k)))
 
 
 def pontryagin_number(p: int, q: int, k: int) -> Fraction:
     """Relative Pontryagin number of the adapted bundle over the mapping-
     cylinder piece for Sigma(p, q, k*p*q - 1): 1 / (p*q*(k*p*q - 1)) < 4."""
     _validate_triple(p, q, k)
-    value = Fraction(1, p * q * (k * p * q - 1))
-    assert value < 4
-    return value
+    return Fraction(1, _growth(p, q, k))
 
 
 def lens_cs_lower_bound(p: int, q: int, k: int) -> Fraction:

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import mpmath
 
+from .cs_invariants import _validate_triple
 from .errors import IntegralityFailure, InvalidParams
 
 DEFAULT_PRECISION_BITS = 128
@@ -145,10 +146,5 @@ def r_family_closed_form(p: int, q: int, k: int) -> int:
     This closed form (a Neumann-Zagier consequence) is the independent
     oracle against which the numeric evaluation is checked.
     """
-    if p < 2 or q < 2:
-        raise InvalidParams(f"p, q must be >= 2, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise InvalidParams(f"p, q must be coprime, got ({p}, {q})")
-    if k < 1:
-        raise InvalidParams(f"k must be >= 1, got {k}")
+    _validate_triple(p, q, k)
     return 1

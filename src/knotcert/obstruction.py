@@ -12,7 +12,8 @@ trivial Z/2 first homology, so the Furuta-type growth criterion
 on consecutive members rules X out and certifies the family independent in
 the smooth concordance group.  The criterion is the only hypothesis checked
 at runtime; the rest of the contradiction template is parameter-uniform and
-encoded in the assembled record itself.
+encoded in the assembled record itself, whose form is carried as
+(sign, size) blocks and materialised only on request.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .cobordisms import (
     reverse_orientation,
 )
 from .covers import SatelliteParams
+from .cs_invariants import _growth, _validate_triple
 from .errors import AllZeroCoefficients, InvalidParams
-from .exactmath import Definiteness, SymIntMatrix, definiteness, direct_sum
+from .exactmath import Definiteness, SymIntMatrix, sign_blocks_definiteness
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,18 @@ class Verdict:
 
 @dataclass(frozen=True)
 class AssembledManifold:
-    """Boundary and intersection-form data of the closed-up manifold X."""
+    """Boundary and intersection-form data of the closed-up manifold X; the
+    form is the direct sum of sign * I_size over blocks, in order."""
 
     boundary: tuple[BoundaryComponent, ...]
-    form: SymIntMatrix
+    blocks: tuple[tuple[int, int], ...]
     h1_z2_trivial: bool
     normalization_note: str | None = None
+
+    @property
+    def form(self) -> SymIntMatrix:
+        """The block-diagonal form as a dense matrix, built on each access."""
+        return SymIntMatrix.diagonal([sign for sign, size in self.blocks for _ in range(size)])
 
 
 @dataclass(frozen=True)
@@ -103,12 +111,12 @@ class IndependenceCertificate:
 
 def doubled_growth(m: SatelliteParams) -> int:
     """Left side of the chain inequality: p*q*(2n*p*q - 1)."""
-    return m.p * m.q * (2 * m.n * m.p * m.q - 1)
+    return _growth(m.p, m.q, 2 * m.n)
 
 
 def single_growth(m: SatelliteParams) -> int:
     """Right side of the chain inequality: p*q*(n*p*q - 1)."""
-    return m.p * m.q * (m.n * m.p * m.q - 1)
+    return _growth(m.p, m.q, m.n)
 
 
 def furuta_chain_check(triples: Sequence[Sequence[int]]) -> list[bool]:
@@ -116,11 +124,8 @@ def furuta_chain_check(triples: Sequence[Sequence[int]]) -> list[bool]:
     each consecutive pair of (p, q, k) triples; exact integer comparisons."""
     sizes = []
     for p, q, k in triples:
-        if p < 2 or q < 2 or math.gcd(p, q) != 1:
-            raise InvalidParams(f"p, q must be coprime and >= 2, got ({p}, {q})")
-        if k < 1:
-            raise InvalidParams(f"k must be >= 1, got {k}")
-        sizes.append(p * q * (k * p * q - 1))
+        _validate_triple(p, q, k)
+        sizes.append(_growth(p, q, k))
     return [sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)]
 
 
@@ -134,15 +139,14 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
     be attached at the top index; both steps are reported in the
     normalization note.  The form is the direct sum of the Z block, one R
     block per unit of positive coefficient, and one reversed-P block per
-    unit of negative coefficient; it is always negative definite, and each
-    unit of negative coefficient contributes two copies of
+    unit of negative coefficient, each -I, so X is negative definite by
+    construction; one member's copies are carried as one (sign, size) block.
+    Each unit of negative coefficient contributes two copies of
     +Sigma(p, q, 2n*p*q - 1) to the boundary.
     """
     cs = [int(c) for c in coefficients]
     if len(cs) != len(f.members):
-        raise InvalidParams(
-            f"{len(cs)} coefficients for {len(f.members)} members"
-        )
+        raise InvalidParams(f"{len(cs)} coefficients for {len(f.members)} members")
     if all(c == 0 for c in cs):
         raise AllZeroCoefficients("at least one coefficient must be nonzero")
 
@@ -159,28 +163,21 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
         )
 
     z = build_Z(members[-1])
-    blocks = [z.form]
+    blocks = [(z.sign, z.handle_count)]
     boundary = list(z.outgoing)
     h1 = z.h1_z2_trivial
     for member, c in zip(members, cs):
-        if c > 0:
-            r = build_R(member)
-            blocks.extend([r.form] * c)
-            h1 = h1 and r.h1_z2_trivial
-        elif c < 0:
-            p = reverse_orientation(build_P(member))
-            blocks.extend([p.form] * (-c))
-            h1 = h1 and p.h1_z2_trivial
-            for piece in p.outgoing:
-                boundary.append(
-                    BoundaryComponent(piece.space, piece.multiplicity * (-c))
-                )
+        if c == 0:
+            continue
+        # R has no outgoing boundary, so only reversed P adds pieces here.
+        record = build_R(member) if c > 0 else reverse_orientation(build_P(member))
+        blocks.append((record.sign, record.handle_count * abs(c)))
+        h1 = h1 and record.h1_z2_trivial
+        boundary.extend(BoundaryComponent(b.space, b.multiplicity * abs(c)) for b in record.outgoing)
 
-    form = direct_sum(blocks)
-    assert definiteness(form) is Definiteness.NEGATIVE_DEFINITE
     return AssembledManifold(
         boundary=tuple(boundary),
-        form=form,
+        blocks=tuple(blocks),
         h1_z2_trivial=h1,
         normalization_note="; ".join(notes) if notes else None,
     )
@@ -199,29 +196,21 @@ def certify_family(
     """
     members = f.members
     checks = []
-    failing = None
     for i in range(len(members) - 1):
-        lhs = doubled_growth(members[i])
-        rhs = single_growth(members[i + 1])
-        ok = lhs < rhs
-        checks.append(ChainCheck(index=i + 1, lhs=lhs, rhs=rhs, ok=ok))
-        if not ok and failing is None:
-            failing = i + 1
+        lhs, rhs = doubled_growth(members[i]), single_growth(members[i + 1])
+        checks.append(ChainCheck(index=i + 1, lhs=lhs, rhs=rhs, ok=lhs < rhs))
+    failing = next((c.index for c in checks if not c.ok), None)
     verdict = Verdict.ok() if failing is None else Verdict.fails(failing)
 
-    if coefficients is None:
-        assembled = assemble_X(f, [1] * len(members))
-        tested = None
-    else:
-        assembled = assemble_X(f, coefficients)
-        tested = tuple(int(c) for c in coefficients)
+    tested = None if coefficients is None else tuple(int(c) for c in coefficients)
+    assembled = assemble_X(f, [1] * len(members) if tested is None else tested)
 
     return IndependenceCertificate(
         family=f,
         chain_checks=tuple(checks),
         coefficients_tested=tested,
         assembled_boundary=assembled.boundary,
-        total_form_definiteness=definiteness(assembled.form),
+        total_form_definiteness=sign_blocks_definiteness(s for s, _ in assembled.blocks),
         h1_z2_trivial=assembled.h1_z2_trivial,
         verdict=verdict,
     )
@@ -253,16 +242,16 @@ def next_member(prefix: Family, fix_n: int | None = None) -> SatelliteParams:
         raise InvalidParams(f"fix_n must be a positive even integer, got {fix_n}")
     bound = doubled_growth(prefix.members[-1])
     for p, q in _coprime_pairs():
-        pq = p * q
         if fix_n is not None:
-            if pq * (fix_n * pq - 1) > bound:
+            if _growth(p, q, fix_n) > bound:
                 return SatelliteParams(fix_n, p, q)
             continue
         # minimal even n >= 2 with pq*(n*pq - 1) > bound
+        pq = p * q
         n = max(2, (bound // pq + 1) // pq + 1)
         if n % 2 != 0:
             n += 1
-        while pq * (n * pq - 1) <= bound:
+        while _growth(p, q, n) <= bound:
             n += 2
         return SatelliteParams(n, p, q)
     raise AssertionError("unreachable: the candidate supply is infinite")

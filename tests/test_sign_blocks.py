@@ -1,0 +1,113 @@
+"""Intersection forms carried as (sign, size) blocks, against the dense path.
+
+Cobordism records and the assembled manifold X hold their forms as blocks
+sign * I_size and classify them from the signs.  These tests materialise
+the dense matrices and compare with exactmath.definiteness on them.
+"""
+
+import itertools
+import time
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knotcert import (
+    Definiteness,
+    Family,
+    InvalidParams,
+    SatelliteParams,
+    SymIntMatrix,
+    assemble_X,
+    build_P,
+    build_R,
+    build_Z,
+    certify_family,
+    default_crossing_count,
+    definiteness,
+    direct_sum,
+    generate_family,
+    reverse_orientation,
+)
+from knotcert.exactmath import sign_blocks_definiteness
+
+SETTINGS = settings(max_examples=40, deadline=None)
+PAIRS = [(p, q) for p, q in itertools.permutations(range(2, 8), 2) if gcd(p, q) == 1]
+
+
+def satellites(max_n):
+    return st.builds(
+        lambda half_n, pq: SatelliteParams(2 * half_n, *pq),
+        st.integers(1, max_n // 2),
+        st.sampled_from(PAIRS),
+    )
+
+
+@SETTINGS
+@given(satellites(12), st.sampled_from("ZRP"), st.integers(1, 12), st.booleans())
+def test_record_form_is_its_sign_times_identity(s, label, crossings, reverse):
+    builders = {"Z": lambda: build_Z(s, crossings=crossings), "R": lambda: build_R(s), "P": lambda: build_P(s)}
+    record = builders[label]()
+    if reverse:
+        record = reverse_orientation(record)
+    sign = (1 if label == "P" else -1) * (-1 if reverse else 1)
+    assert record.sign == sign
+    assert record.handle_count == (crossings if label == "Z" else s.n)
+    assert record.form == SymIntMatrix.identity(record.handle_count, sign)
+    assert sign_blocks_definiteness([record.sign]) is definiteness(record.form)
+    assert reverse_orientation(reverse_orientation(record)) == record
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 4)), min_size=1, max_size=5))
+def test_sign_classification_matches_dense_definiteness(blocks):
+    dense = direct_sum(SymIntMatrix.identity(size, sign) for sign, size in blocks)
+    assert sign_blocks_definiteness(sign for sign, _ in blocks) is definiteness(dense)
+
+
+def test_sign_classification_rejects_empty_and_non_unit_signs():
+    with pytest.raises(InvalidParams):
+        sign_blocks_definiteness([])
+    with pytest.raises(InvalidParams):
+        sign_blocks_definiteness([-1, 0])
+
+
+@st.composite
+def combinations(draw):
+    # At most 3 members with n <= 4, |c| <= 2 and p, q <= 7: dimension <= 40.
+    members = draw(st.lists(satellites(4), min_size=1, max_size=3))
+    cs = draw(
+        st.lists(st.integers(-2, 2), min_size=len(members), max_size=len(members)).filter(any)
+    )
+    return members, cs
+
+
+@SETTINGS
+@given(combinations())
+def test_assembled_blocks_match_the_dense_form(combination):
+    members, cs = combination
+    top = max(i for i, c in enumerate(cs) if c)
+    expected = default_crossing_count(members[top].p, members[top].q) + sum(
+        abs(c) * m.n for m, c in zip(members, cs)
+    )
+    family = Family(tuple(members))
+    assembled = assemble_X(family, cs)
+    assert sum(size for _, size in assembled.blocks) == expected
+    form = assembled.form
+    assert form == SymIntMatrix.identity(expected, scale=-1)
+    assert certify_family(family, cs).total_form_definiteness is definiteness(form)
+
+
+def test_thousand_member_free_n_chain_certifies_in_under_a_second():
+    family = generate_family(SatelliteParams(2, 2, 3), 1000)
+    start = time.perf_counter()
+    cert = certify_family(family)
+    elapsed = time.perf_counter() - start
+    assert cert.verdict.independent
+    assert cert.total_form_definiteness is Definiteness.NEGATIVE_DEFINITE
+    assert elapsed < 1.0
+    last = family.members[-1]
+    dimension = sum(size for _, size in assemble_X(family, [1] * len(family)).blocks)
+    assert dimension == default_crossing_count(last.p, last.q) + sum(m.n for m in family.members)
+    assert dimension.bit_length() > 1000  # far beyond any dense form
