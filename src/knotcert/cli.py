@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: r-invariant, tau, compactness, cover, cobordism, certify,
-generate, snf, definiteness.  Global flags --format/--precision/--tolerance/
---seed may be given before or after the subcommand; the KNOTCERT_* env vars
-(KNOTCERT_PRECISION_BITS, KNOTCERT_TOLERANCE, KNOTCERT_FORMAT, KNOTCERT_SEED)
-supply defaults that explicit flags override.
+generate, snf, definiteness.  Global flags --format/--precision/--tolerance
+may be given before or after the subcommand; the KNOTCERT_* env vars
+(KNOTCERT_PRECISION_BITS, KNOTCERT_TOLERANCE, KNOTCERT_FORMAT) supply
+defaults that explicit flags override.
 
 Output is deterministic: identical argv and config produce byte-identical
 output.  In JSON, every semantic integer is serialized as a decimal string
@@ -28,10 +28,13 @@ from fractions import Fraction
 import mpmath
 
 from . import cobordisms, covers, cs_invariants, exactmath, fs_invariant, obstruction
-from .errors import KnotcertError
+from .errors import InvalidParams, KnotcertError
 
 ENV_PREFIX = "KNOTCERT_"
 NUMERIC_DIGITS = 30  # significant digits when printing multiprecision values
+# cobordism prints its dense n x n form; larger records fail with
+# InvalidParams (exit 1) instead of printing n^2 entries.
+MAX_FORM_HANDLES = 1024
 
 
 class UsageError(Exception):
@@ -43,7 +46,6 @@ class Config:
     precision_bits: int = fs_invariant.DEFAULT_PRECISION_BITS
     integrality_tolerance: float = fs_invariant.DEFAULT_TOLERANCE
     output_format: str | None = None  # None: per-command default
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
@@ -258,6 +260,11 @@ def _cmd_cobordism(args, config: Config):
         record = cobordisms.build_R(params)
     else:
         record = cobordisms.build_P(params)
+    if record.handle_count > MAX_FORM_HANDLES:
+        raise InvalidParams(
+            f"form of {record.handle_count} handles exceeds the output budget of "
+            f"{MAX_FORM_HANDLES} handles"
+        )
     form = record.form
     defin = exactmath.sign_blocks_definiteness([record.sign])
     payload = {
@@ -372,7 +379,6 @@ def _global_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
     common.add_argument("--precision", type=int, metavar="BITS", default=argparse.SUPPRESS)
     common.add_argument("--tolerance", type=float, metavar="T", default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, metavar="N", default=argparse.SUPPRESS)
     return common
 
 
@@ -460,7 +466,6 @@ def _config_from(args: argparse.Namespace) -> Config:
         precision_bits=pick("precision", "PRECISION_BITS", int, fs_invariant.DEFAULT_PRECISION_BITS),
         integrality_tolerance=pick("tolerance", "TOLERANCE", float, fs_invariant.DEFAULT_TOLERANCE),
         output_format=pick("format", "FORMAT", str, None),
-        seed=pick("seed", "SEED", int, None),
     )
 
 

@@ -76,8 +76,9 @@ class SymIntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        # Lists first: tuple(generator) resizes as it grows, fragmenting the heap.
+        rows = tuple([tuple([int(v) for v in row]) for row in self.entries])
+        n = len(rows)
         for row in rows:
             if len(row) != n:
                 raise InvalidParams("matrix is not square")
@@ -88,18 +89,18 @@ class SymIntMatrix:
         object.__setattr__(self, "entries", rows)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SymIntMatrix":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SymIntMatrix":
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int, scale: int = 1) -> "SymIntMatrix":
         """scale * I_n (use scale=-1 for the negative definite -I_n)."""
-        return cls(tuple(tuple(scale if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.diagonal([scale] * n)
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "SymIntMatrix":
         n = len(values)
-        return cls(tuple(tuple(values[i] if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def dimension(self) -> int:
@@ -109,7 +110,7 @@ class SymIntMatrix:
         return [list(row) for row in self.entries]
 
     def __neg__(self) -> "SymIntMatrix":
-        return SymIntMatrix(tuple(tuple(-v for v in row) for row in self.entries))
+        return SymIntMatrix([[-v for v in row] for row in self.entries])
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(v) for v in row) for row in self.entries) + "]"
@@ -224,80 +225,64 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:
     )
 
 
-def _det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def definiteness(m: SymIntMatrix) -> Definiteness:
     """Classify a symmetric integer matrix by the signs of its eigenvalues.
 
-    Exact throughout: Degenerate iff det = 0 (fraction-free elimination);
-    otherwise the inertia is read off the pivots of a symmetric rational
-    elimination (the ratios of leading principal minors, with a symmetric
-    permutation fallback and a rank-two congruence step when the active
-    diagonal vanishes).  No floating point is involved.
+    Exact throughout, in one fraction-free symmetric (Bareiss) elimination
+    over the integers: the active entries are bordered leading minors, so
+    every update divides exactly, and the sign of the t-th LDL^T pivot is
+    sign(D_{t+1}) * sign(D_t), D_k the k-th leading minor (D_0 = 1).  When
+    the active diagonal vanishes, a symmetric swap or a rank-two congruence
+    (row_i += row_j, col_i += col_j) makes a nonzero pivot without changing
+    the inertia; an all-zero active block means det = 0, so the form is
+    Degenerate even when both signs have been seen.  No floating point is
+    involved.
     """
     d = m.dimension
     if d == 0:
         raise InvalidParams("the 0-dimensional form has no definiteness class")
-    if _det_int(m.entries) == 0:
-        return Definiteness.DEGENERATE
 
-    a = [[Fraction(v) for v in row] for row in m.entries]
+    a = [list(row) for row in m.entries]
     pos = neg = 0
+    prev = 1
     for t in range(d):
-        r = next((i for i in range(t, d) if a[i][i] != 0), None)
-        if r is None:
-            # Nonsingular, so the active block has an off-diagonal entry;
-            # a congruence (row_i += row_j, col_i += col_j) makes a nonzero
-            # diagonal pivot without changing the inertia.
-            i, j = next(
-                (i, j)
-                for i in range(t, d)
-                for j in range(i + 1, d)
-                if a[i][j] != 0
-            )
-            for c in range(d):
-                a[i][c] += a[j][c]
-            for rr in range(d):
-                a[rr][i] += a[rr][j]
-            r = i
-        if r != t:
-            a[r], a[t] = a[t], a[r]
-            for row in a:
-                row[r], row[t] = row[t], row[r]
+        if a[t][t] == 0:
+            r = next((i for i in range(t + 1, d) if a[i][i]), None)
+            if r is None:
+                pair = next(
+                    ((i, j) for i in range(t, d) for j in range(i + 1, d) if a[i][j]),
+                    None,
+                )
+                if pair is None:
+                    return Definiteness.DEGENERATE
+                # Bordered minors are linear in the bordering row and column,
+                # so the congruence acts on the active entries directly.
+                i, j = pair
+                for c in range(t, d):
+                    a[i][c] += a[j][c]
+                for rr in range(t, d):
+                    a[rr][i] += a[rr][j]
+                r = i
+            if r != t:
+                a[r], a[t] = a[t], a[r]
+                for row in a[t:]:
+                    row[r], row[t] = row[t], row[r]
         piv = a[t][t]
-        if piv > 0:
+        if (piv > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        if pos and neg:
-            return Definiteness.INDEFINITE
-        # Schur update of the active block only; stale rows/columns are never
-        # read again, so they are left untouched (the matrix stays symmetric).
+        # Update the upper half of the active block and mirror it; stale
+        # rows and columns are never read again.
+        top = a[t]
         for i in range(t + 1, d):
-            if a[i][t]:
-                f = a[i][t] / piv
-                for j in range(t + 1, d):
-                    a[i][j] -= f * a[t][j]
+            row = a[i]
+            f = row[t]
+            for j in range(i, d):
+                row[j] = a[j][i] = (piv * row[j] - f * top[j]) // prev
+        prev = piv
+    if pos and neg:
+        return Definiteness.INDEFINITE
     return Definiteness.POSITIVE_DEFINITE if neg == 0 else Definiteness.NEGATIVE_DEFINITE
 
 

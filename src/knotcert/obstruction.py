@@ -233,28 +233,26 @@ def _coprime_pairs() -> Iterable[tuple[int, int]]:
 def next_member(prefix: Family, fix_n: int | None = None) -> SatelliteParams:
     """Smallest valid successor extending the chain past the last member.
 
-    Candidates are ordered by (p*q, q - p, n); the successor must satisfy
-    doubled_growth(last) < p*q*(n*p*q - 1).  With fix_n the twist parameter
-    is pinned; otherwise the minimal even n >= 2 is chosen per pair, which
-    makes (2, 3) with growing twists the generic answer.
+    Candidates are coprime pairs 2 <= p < q ordered by (p*q, q - p), and the
+    successor must satisfy doubled_growth(last) < p*q*(n*p*q - 1).  With
+    fix_n the twist parameter is pinned and the first pair past the bound
+    wins; otherwise the first pair, (2, 3), always wins with the minimal
+    even n >= 2 past the bound.
     """
     if fix_n is not None and (fix_n < 2 or fix_n % 2 != 0):
         raise InvalidParams(f"fix_n must be a positive even integer, got {fix_n}")
     bound = doubled_growth(prefix.members[-1])
-    for p, q in _coprime_pairs():
-        if fix_n is not None:
-            if _growth(p, q, fix_n) > bound:
-                return SatelliteParams(fix_n, p, q)
-            continue
-        # minimal even n >= 2 with pq*(n*pq - 1) > bound
-        pq = p * q
-        n = max(2, (bound // pq + 1) // pq + 1)
+    if fix_n is None:
+        # minimal even n >= 2 with 6*(6n - 1) > bound
+        n = max(2, (bound // 6 + 1) // 6 + 1)
         if n % 2 != 0:
             n += 1
-        while _growth(p, q, n) <= bound:
+        while _growth(2, 3, n) <= bound:
             n += 2
-        return SatelliteParams(n, p, q)
-    raise AssertionError("unreachable: the candidate supply is infinite")
+        return SatelliteParams(n, 2, 3)
+    return next(
+        SatelliteParams(fix_n, p, q) for p, q in _coprime_pairs() if _growth(p, q, fix_n) > bound
+    )
 
 
 def generate_family(

@@ -4,12 +4,15 @@ Everything here deliberately avoids the library's own code paths: the
 cotangent sum is evaluated directly in mpmath without rational argument
 reduction, determinants use Fraction Gaussian elimination rather than the
 library's fraction-free scheme, definiteness is decided by brute-force
-quadratic-form evaluation, and the 2x2 Smith form is found by breadth-first
-search over elementary unimodular operations.
+quadratic-form evaluation, the 2x2 Smith form is found by breadth-first
+search over elementary unimodular operations, and chain successors come from
+walking every coprime pair in order.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -150,3 +153,29 @@ def random_coprime_triple(rng, lo: int = 2, hi: int = 50) -> tuple[int, int, int
         a = sorted(rng.randint(lo, hi) for _ in range(3))
         if a[0] < a[1] < a[2] and gcd(a[0], a[1]) == 1 and gcd(a[0], a[2]) == 1 and gcd(a[1], a[2]) == 1:
             return tuple(a)
+
+
+def successor_oracle(n: int, p: int, q: int, fix_n: int | None = None) -> tuple[int, int, int]:
+    """Chain successor of D_n(T_{p,q}) by enumeration.
+
+    Walks the coprime pairs 2 <= p' < q' by product, then by q' - p', and
+    returns the first (n', p', q') whose growth p'q'(n'p'q' - 1) exceeds the
+    doubled growth pq(2npq - 1); n' is fix_n when given, else the least even
+    n' >= 2 that works for the pair.
+    """
+    bound = p * q * (2 * n * p * q - 1)
+    for product in itertools.count(6):
+        pairs = [
+            (a, product // a)
+            for a in range(2, math.isqrt(product) + 1)
+            if product % a == 0 and a < product // a and math.gcd(a, product // a) == 1
+        ]
+        for a, b in sorted(pairs, key=lambda ab: ab[1] - ab[0]):
+            if fix_n is not None:
+                if product * (fix_n * product - 1) > bound:
+                    return (fix_n, a, b)
+                continue
+            m = 2
+            while product * (m * product - 1) <= bound:
+                m += 2
+            return (m, a, b)

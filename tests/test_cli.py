@@ -3,8 +3,9 @@
 import json
 import subprocess
 import sys
+import time
 
-from knotcert.cli import dispatch
+from knotcert.cli import MAX_FORM_HANDLES, dispatch
 
 
 def run(*argv):
@@ -234,8 +235,30 @@ def test_json_outputs_round_trip_through_schema():
         assert json.dumps(json.loads(out), sort_keys=True, indent=2) == out
 
 
-def test_seed_flag_accepted():
-    assert run("--seed", "7", "tau", "2", "3", "1") == (0, "1/30")
+def test_seed_flag_is_a_usage_error():
+    # --seed was parsed but never read, so it was removed with KNOTCERT_SEED.
+    code, out = run("--seed", "7", "tau", "2", "3", "1")
+    assert code == 2
+    assert out.startswith("usage error:")
+
+
+def test_cobordism_refuses_forms_over_the_output_budget():
+    for argv in (
+        ["cobordism", "R", "100000", "2", "3"],
+        ["cobordism", "Z", "2", "2", "3", "--crossings", "1000000"],
+    ):
+        start = time.perf_counter()
+        code, out = run(*argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out.startswith("InvalidParams:")
+        assert str(MAX_FORM_HANDLES) in out
+
+
+def test_cobordism_within_the_output_budget():
+    code, out = run("cobordism", "R", "1000", "2", "3")
+    assert code == 0
+    assert json.loads(out)["handle_count"] == "1000"
 
 
 def test_help_exits_zero():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from knotcert import (
@@ -154,6 +156,59 @@ def test_definiteness_agrees_with_box_oracle():
         dim = rng.randint(1, 6)
         rows = random_symmetric(rng, dim)
         assert definiteness(SymIntMatrix.from_rows(rows)).value == box_definiteness_oracle(rows)
+
+
+@st.composite
+def congruent_forms(draw):
+    """(rows, expected class): diag(D) + hyperbolic planes, optionally scaled
+    by 10^30, then mixed by elementary congruences; by Sylvester's law of
+    inertia the class is read off the signs before mixing."""
+    planes = draw(st.integers(0, 3))
+    diag = draw(st.lists(st.integers(-3, 3), min_size=0 if planes else 1, max_size=12 - 2 * planes))
+    scale = draw(st.sampled_from([1, 10**30]))
+    d = len(diag) + 2 * planes
+    rows = [[0] * d for _ in range(d)]
+    for i, v in enumerate(diag):
+        rows[i][i] = scale * v
+    for k in range(len(diag), d, 2):
+        rows[k][k + 1] = rows[k + 1][k] = scale
+    moves = st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(-2, 2))
+    for i, j, mult in draw(st.lists(moves, max_size=30)):
+        i, j = i % d, j % d
+        if i != j:
+            rows[i] = [x + mult * y for x, y in zip(rows[i], rows[j])]
+            for row in rows:
+                row[i] += mult * row[j]
+    signs = {(v > 0) - (v < 0) for v in diag} | ({1, -1} if planes else set())
+    if 0 in signs:
+        expected = Definiteness.DEGENERATE
+    elif signs == {1, -1}:
+        expected = Definiteness.INDEFINITE
+    else:
+        expected = Definiteness.POSITIVE_DEFINITE if 1 in signs else Definiteness.NEGATIVE_DEFINITE
+    return rows, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(congruent_forms())
+def test_definiteness_obeys_sylvester_inertia(case):
+    rows, expected = case
+    assert definiteness(SymIntMatrix.from_rows(rows)) is expected
+
+
+def test_definiteness_rank_two_congruence_step():
+    # after the first pivot the active block is [[0, 1], [1, 0]]
+    rows = [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
+    assert definiteness(SymIntMatrix.from_rows(rows)) is Definiteness.INDEFINITE
+
+
+def test_definiteness_mixed_signs_with_kernel_stay_degenerate():
+    # diag(1, -1, 0) after row/col 0 += row/col 2, row/col 2 += row/col 1 and
+    # row/col 1 += 2 row/col 0: a positive and a negative pivot come before
+    # the kernel shows up
+    rows = [[1, 2, 0], [2, 3, -1], [0, -1, -1]]
+    assert sympy.Matrix(rows).det() == 0
+    assert definiteness(SymIntMatrix.from_rows(rows)) is Definiteness.DEGENERATE
 
 
 def test_symintmatrix_validation():

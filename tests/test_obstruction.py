@@ -23,6 +23,7 @@ from knotcert import (
     next_member,
     single_growth,
 )
+from oracles import successor_oracle
 
 
 def fam(*triples):
@@ -201,6 +202,16 @@ def test_next_member_matches_bruteforce_oracle():
         last = SatelliteParams(2 * rng.randint(1, 3), *_coprime(rng))
         for fix_n in (2, 4):
             assert next_member(Family((last,)), fix_n=fix_n) == _bruteforce_successor(last, fix_n)
+
+
+def test_generated_chains_match_enumeration_oracle():
+    rng = random.Random(2140)
+    for _ in range(200):
+        start = SatelliteParams(2 * rng.randint(1, 4), *_coprime(rng))
+        fix_n = rng.choice((None, 2, 4, 6))
+        family = generate_family(start, rng.randint(2, 9), fix_n=fix_n)
+        for last, nxt in zip(family.members, family.members[1:]):
+            assert (nxt.n, nxt.p, nxt.q) == successor_oracle(last.n, last.p, last.q, fix_n)
 
 
 def test_next_member_validates_fix_n():
