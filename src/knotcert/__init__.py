@@ -10,83 +10,91 @@ growth criterion that certifies infinite families independent in the smooth
 concordance group.  All certificate arithmetic is exact.
 """
 
-from .cobordisms import (
-    BoundaryComponent,
-    CobordismLabel,
-    CobordismRecord,
-    build_P,
-    build_R,
-    build_Z,
-    default_crossing_count,
-    reverse_orientation,
-)
-from .covers import (
-    KILL_LONGITUDE,
-    KILL_MERIDIAN,
-    THREE_SPHERE,
-    BranchedCover,
-    CoverDecomposition,
-    SatelliteParams,
-    ThreeSphere,
-    TorusGluingMap,
-    TorusLinkExterior,
-    double_cover_decomposition,
-    moser_identify,
-    pattern_gluing_map,
-    post_surgery_gluing,
-    satellite_alexander_trivial,
-    slope_from_filling,
-)
-from .cs_invariants import (
-    CompactnessCheck,
-    CompactnessReport,
-    H1Data,
-    TauValue,
-    compactness_check,
-    count_reducibles,
-    lens_cs_lower_bound,
-    parity_obstruction,
-    pontryagin_number,
-    tau_brieskorn_family,
-)
-from .errors import (
-    AllZeroCoefficients,
-    IntegralityFailure,
-    InvalidParams,
-    KnotcertError,
-    NonIntegerCount,
-    UnsupportedSlope,
-)
-from .exactmath import (
-    Definiteness,
-    Rational,
-    Slope,
-    SNFResult,
-    SymIntMatrix,
-    definiteness,
-    direct_sum,
-    gcd,
-    smith_normal_form,
-)
-from .fs_invariant import (
-    BrieskornSphere,
-    RValue,
-    r_family_closed_form,
-    r_invariant,
-)
-from .obstruction import (
-    AssembledManifold,
-    ChainCheck,
-    Family,
-    IndependenceCertificate,
-    Verdict,
-    assemble_X,
-    certify_family,
-    doubled_growth,
-    furuta_chain_check,
-    generate_family,
-    next_member,
-    single_growth,
-)
-
 __version__ = "0.1.0"
+
+# Public name -> the submodule that defines it.  Names resolve on first access
+# (PEP 562), so `import knotcert` loads no submodule and no mpmath.
+_EXPORTS = {
+    "BoundaryComponent": "cobordisms",
+    "CobordismLabel": "cobordisms",
+    "CobordismRecord": "cobordisms",
+    "build_P": "cobordisms",
+    "build_R": "cobordisms",
+    "build_Z": "cobordisms",
+    "default_crossing_count": "cobordisms",
+    "reverse_orientation": "cobordisms",
+    "KILL_LONGITUDE": "covers",
+    "KILL_MERIDIAN": "covers",
+    "THREE_SPHERE": "covers",
+    "BranchedCover": "covers",
+    "CoverDecomposition": "covers",
+    "SatelliteParams": "covers",
+    "ThreeSphere": "covers",
+    "TorusGluingMap": "covers",
+    "TorusLinkExterior": "covers",
+    "double_cover_decomposition": "covers",
+    "moser_identify": "covers",
+    "pattern_gluing_map": "covers",
+    "post_surgery_gluing": "covers",
+    "satellite_alexander_trivial": "covers",
+    "slope_from_filling": "covers",
+    "CompactnessCheck": "cs_invariants",
+    "CompactnessReport": "cs_invariants",
+    "H1Data": "cs_invariants",
+    "TauValue": "cs_invariants",
+    "compactness_check": "cs_invariants",
+    "count_reducibles": "cs_invariants",
+    "lens_cs_lower_bound": "cs_invariants",
+    "parity_obstruction": "cs_invariants",
+    "pontryagin_number": "cs_invariants",
+    "tau_brieskorn_family": "cs_invariants",
+    "AllZeroCoefficients": "errors",
+    "IntegralityFailure": "errors",
+    "InvalidParams": "errors",
+    "KnotcertError": "errors",
+    "NonIntegerCount": "errors",
+    "UnsupportedSlope": "errors",
+    "Definiteness": "exactmath",
+    "Rational": "exactmath",
+    "Slope": "exactmath",
+    "SNFResult": "exactmath",
+    "SymIntMatrix": "exactmath",
+    "definiteness": "exactmath",
+    "direct_sum": "exactmath",
+    "gcd": "exactmath",
+    "smith_normal_form": "exactmath",
+    "BrieskornSphere": "fs_invariant",
+    "RValue": "fs_invariant",
+    "r_family_closed_form": "fs_invariant",
+    "r_invariant": "fs_invariant",
+    "AssembledManifold": "obstruction",
+    "ChainCheck": "obstruction",
+    "Family": "obstruction",
+    "IndependenceCertificate": "obstruction",
+    "Verdict": "obstruction",
+    "assemble_X": "obstruction",
+    "certify_family": "obstruction",
+    "doubled_growth": "obstruction",
+    "furuta_chain_check": "obstruction",
+    "generate_family": "obstruction",
+    "next_member": "obstruction",
+    "single_growth": "obstruction",
+}
+
+__all__ = tuple(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -17,18 +17,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import mpmath
-
-from . import cobordisms, covers, cs_invariants, exactmath, fs_invariant, obstruction
+from . import fs_invariant
 from .errors import InvalidParams, KnotcertError
+
+# Each handler imports the layer modules it calls, so a process pays only for
+# its own command (mpmath alone costs about 20 ms and only R uses it).
+if TYPE_CHECKING:
+    from . import cobordisms, covers, exactmath, obstruction
 
 ENV_PREFIX = "KNOTCERT_"
 NUMERIC_DIGITS = 30  # significant digits when printing multiprecision values
@@ -108,15 +110,13 @@ def _parse_coefficients(text: str) -> list[int]:
 # JSON encoding (integers as decimal strings)
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _matrix(m: exactmath.SymIntMatrix) -> list[list[str]]:
     return [[str(v) for v in row] for row in m.entries]
 
 
 def _space(s: cobordisms.BoundarySpace) -> dict:
+    from . import covers
+
     if isinstance(s, fs_invariant.BrieskornSphere):
         return {
             "type": "brieskorn",
@@ -170,6 +170,8 @@ def _pick_format(config: Config, default: str, allowed: tuple[str, ...]) -> str:
 
 
 def _cmd_r_invariant(args, config: Config):
+    import mpmath
+
     fmt = _pick_format(config, "text", ("text", "json"))
     sphere = fs_invariant.BrieskornSphere(args.a1, args.a2, args.a3)
     rv = fs_invariant.r_invariant(
@@ -198,18 +200,22 @@ def _cmd_r_invariant(args, config: Config):
 
 
 def _cmd_tau(args, config: Config):
+    from . import cs_invariants
+
     fmt = _pick_format(config, "text", ("text", "json"))
     tau = cs_invariants.tau_brieskorn_family(args.p, args.q, args.k)
     payload = {
         "p": str(args.p),
         "q": str(args.q),
         "k": str(args.k),
-        "tau": _frac(tau.value),
+        "tau": str(tau.value),
     }
-    return 0, _render(fmt, payload, _frac(tau.value))
+    return 0, _render(fmt, payload, str(tau.value))
 
 
 def _cmd_compactness(args, config: Config):
+    from . import cs_invariants
+
     fmt = _pick_format(config, "text", ("text", "json"))
     terminal = _parse_ints(args.terminal, 3, "--terminal")
     boundary = _parse_triples(args.boundary, "--boundary") if args.boundary else []
@@ -218,7 +224,7 @@ def _cmd_compactness(args, config: Config):
         "terminal": [str(v) for v in terminal],
         "boundary": [[str(v) for v in t] for t in boundary],
         "checks": [
-            {"label": c.label, "lhs": _frac(c.lhs), "rhs": _frac(c.rhs), "ok": c.ok}
+            {"label": c.label, "lhs": str(c.lhs), "rhs": str(c.rhs), "ok": c.ok}
             for c in report.checks
         ],
         "compact": report.ok,
@@ -227,6 +233,8 @@ def _cmd_compactness(args, config: Config):
 
 
 def _cmd_cover(args, config: Config):
+    from . import covers
+
     fmt = _pick_format(config, "json", ("json", "text"))
     params = covers.SatelliteParams(args.n, args.p, args.q)
     dec = covers.double_cover_decomposition(params)
@@ -252,6 +260,8 @@ def _cmd_cover(args, config: Config):
 
 
 def _cmd_cobordism(args, config: Config):
+    from . import cobordisms, covers, exactmath
+
     fmt = _pick_format(config, "json", ("json", "text"))
     params = covers.SatelliteParams(args.n, args.p, args.q)
     if args.kind == "Z":
@@ -289,6 +299,8 @@ def _cmd_cobordism(args, config: Config):
 
 
 def _cmd_certify(args, config: Config):
+    from . import covers, obstruction
+
     fmt = _pick_format(config, "json", ("json", "text"))
     triples = _parse_triples(args.family, "--family")
     family = obstruction.Family(tuple(covers.SatelliteParams(*t) for t in triples))
@@ -318,6 +330,10 @@ def _cmd_certify(args, config: Config):
 
 
 def _cmd_generate(args, config: Config):
+    import csv
+
+    from . import covers, obstruction
+
     fmt = _pick_format(config, "csv", ("csv", "json", "text"))
     n, p, q = _parse_ints(args.start, 3, "--start")
     start = covers.SatelliteParams(n, p, q)
@@ -344,6 +360,8 @@ def _cmd_generate(args, config: Config):
 
 
 def _cmd_snf(args, config: Config):
+    from . import exactmath
+
     fmt = _pick_format(config, "text", ("text", "json"))
     result = exactmath.smith_normal_form(_parse_matrix(args.matrix))
     payload = {
@@ -364,6 +382,8 @@ def _cmd_snf(args, config: Config):
 
 
 def _cmd_definiteness(args, config: Config):
+    from . import exactmath
+
     fmt = _pick_format(config, "text", ("text", "json"))
     m = exactmath.SymIntMatrix.from_rows(_parse_matrix(args.matrix))
     result = exactmath.definiteness(m)
@@ -375,7 +395,7 @@ def _cmd_definiteness(args, config: Config):
 
 
 def _global_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
     common.add_argument("--precision", type=int, metavar="BITS", default=argparse.SUPPRESS)
     common.add_argument("--tolerance", type=float, metavar="T", default=argparse.SUPPRESS)
@@ -384,7 +404,8 @@ def _global_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _global_flags()
-    parser = _Parser(prog="knotcert", parents=[common], description=__doc__)
+    # exit_on_error=False lets dispatch see which argument argparse rejected.
+    parser = _Parser(prog="knotcert", parents=[common], description=__doc__, exit_on_error=False)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("r-invariant", parents=[common], help="integral instanton index R(a1,a2,a3)")
@@ -469,6 +490,22 @@ def _config_from(args: argparse.Namespace) -> Config:
     )
 
 
+def _unknown_flag_before_command(exc: Exception, argv: list[str]) -> str | None:
+    """argparse files an unknown flag before the subcommand as unrecognized but
+    takes the word after it for COMMAND, so `--seed 7 tau` would be reported as
+    the invalid command '7'.  Return the message that names the flag instead.
+    """
+    if getattr(exc, "argument_name", None) != "COMMAND":
+        return None
+    try:
+        _, rest = _global_flags().parse_known_args(argv)
+    except UsageError:
+        return None
+    if rest and rest[0].startswith("-") and "=" not in rest[0]:
+        return f"unrecognized arguments: {rest[0]}"
+    return None
+
+
 def dispatch(argv: list[str]) -> tuple[int, str]:
     """Parse argv, run the command, and return (exit code, output text)."""
     parser = build_parser()
@@ -476,8 +513,8 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     try:
         with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
             args = parser.parse_args(argv)
-    except UsageError as exc:
-        return 2, f"usage error: {exc}"
+    except (UsageError, argparse.ArgumentError) as exc:
+        return 2, f"usage error: {_unknown_flag_before_command(exc, argv) or exc}"
     except SystemExit as exc:  # --help
         return int(exc.code or 0), captured.getvalue().rstrip("\n")
     if getattr(args, "handler", None) is None:

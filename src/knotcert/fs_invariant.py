@@ -22,11 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .cs_invariants import _validate_triple
 from .errors import IntegralityFailure, InvalidParams
+
+# mpmath is imported inside the functions that evaluate R: loading it takes
+# about 20 ms, which every command that never evaluates R would pay.
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
@@ -91,6 +95,8 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
     mod 1 as an exact Fraction first (cot is pi-periodic), which is what
     keeps the evaluation stable for large products a1*a2*a3.
     """
+    import mpmath
+
     a = a1 * a2 * a3
     with mpmath.workprec(bits):
         total = mpmath.mpf(2) / a
@@ -118,6 +124,8 @@ def r_invariant(
     max_precision_bits (which signals a precision problem or invalid input,
     never a legitimately non-integral value).
     """
+    import mpmath
+
     if s.orientation != 1:
         raise InvalidParams("r_invariant is defined here for the positive orientation only")
     a1, a2, a3 = s.multiplicities

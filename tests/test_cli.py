@@ -5,6 +5,10 @@ import subprocess
 import sys
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knotcert import SatelliteParams, doubled_growth, single_growth
 from knotcert.cli import MAX_FORM_HANDLES, dispatch
 
 
@@ -235,11 +239,41 @@ def test_json_outputs_round_trip_through_schema():
         assert json.dumps(json.loads(out), sort_keys=True, indent=2) == out
 
 
+def _no_json_numbers(text):
+    raise AssertionError(f"JSON number {text} in CLI output")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 4), st.integers(10**60, 10**61), st.integers(1, 10**60)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_certify_json_carries_huge_integers_as_exact_decimal_strings(draws):
+    # q = p*d + 1 is coprime to p by construction
+    members = [SatelliteParams(2 * half_n, p, p * d + 1) for half_n, p, d in draws]
+    family = ";".join(f"{m.n},{m.p},{m.q}" for m in members)
+    code, out = run("certify", "--family", family)
+    assert code in (0, 1)
+    payload = json.loads(out, parse_int=_no_json_numbers, parse_float=_no_json_numbers)
+    assert [(int(m["n"]), int(m["p"]), int(m["q"])) for m in payload["family"]] == [
+        (m.n, m.p, m.q) for m in members
+    ]
+    for check, (before, after) in zip(payload["chain_checks"], zip(members, members[1:])):
+        assert int(check["lhs"]) == doubled_growth(before)
+        assert int(check["rhs"]) == single_growth(after)
+        assert len(check["lhs"]) > 100 and len(check["rhs"]) > 100
+    assert len(payload["chain_checks"]) == len(members) - 1
+
+
 def test_seed_flag_is_a_usage_error():
     # --seed was parsed but never read, so it was removed with KNOTCERT_SEED.
     code, out = run("--seed", "7", "tau", "2", "3", "1")
     assert code == 2
     assert out.startswith("usage error:")
+    assert "--seed" in out
 
 
 def test_cobordism_refuses_forms_over_the_output_budget():

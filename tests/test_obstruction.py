@@ -4,6 +4,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotcert import (
     AllZeroCoefficients,
@@ -227,6 +229,27 @@ def test_generated_families_certify_independent():
 
     free = generate_family(SatelliteParams(2, 2, 3), 6)
     assert certify_family(free).verdict.independent
+
+
+ROOT_PAIRS = [(p, q) for p in range(2, 31) for q in range(p + 1, 31) if gcd(p, q) == 1]
+
+
+# fix_n chains from large roots are slow to generate (next_member restarts its
+# walk over coprime pairs on every call), hence the modest example count.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ROOT_PAIRS),
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.one_of(st.none(), st.integers(1, 4)),
+)
+def test_every_generated_family_certifies_independent(pq, half_n, length, half_fix_n):
+    fix_n = None if half_fix_n is None else 2 * half_fix_n
+    family = generate_family(SatelliteParams(2 * half_n, *pq), length, fix_n=fix_n)
+    assert len(family) == length
+    cert = certify_family(family)
+    assert cert.verdict.independent
+    assert cert.total_form_definiteness is Definiteness.NEGATIVE_DEFINITE
 
 
 def test_certify_monotone_under_chain_extension():
