@@ -21,7 +21,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import fs_invariant
@@ -30,13 +31,15 @@ from .errors import InvalidParams, KnotcertError
 # Each handler imports the layer modules it calls, so a process pays only for
 # its own command (mpmath alone costs about 20 ms and only R uses it).
 if TYPE_CHECKING:
-    from . import cobordisms, covers, exactmath, obstruction
+    from . import cobordisms, obstruction
 
 ENV_PREFIX = "KNOTCERT_"
 NUMERIC_DIGITS = 30  # significant digits when printing multiprecision values
 # cobordism prints its dense n x n form; larger records fail with
 # InvalidParams (exit 1) instead of printing n^2 entries.
 MAX_FORM_HANDLES = 1024
+# generate's cost grows quadratically in --count; larger counts fail likewise.
+MAX_GENERATE_COUNT = 1024
 
 
 class UsageError(Exception):
@@ -107,51 +110,48 @@ def _parse_coefficients(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding (integers as decimal strings)
-
-
-def _matrix(m: exactmath.SymIntMatrix) -> list[list[str]]:
-    return [[str(v) for v in row] for row in m.entries]
+# JSON encoding.  Handlers build payloads from ints, Fractions, tuples, bools,
+# None and str; _dump is the one place that applies the schema.  (The module
+# docstring is the --help text, so it does not name private functions.)
 
 
 def _space(s: cobordisms.BoundarySpace) -> dict:
     from . import covers
 
     if isinstance(s, fs_invariant.BrieskornSphere):
-        return {
-            "type": "brieskorn",
-            "multiplicities": [str(v) for v in s.multiplicities],
-            "orientation": str(s.orientation),
-        }
+        return {"type": "brieskorn", "multiplicities": s.multiplicities, "orientation": s.orientation}
     if isinstance(s, covers.BranchedCover):
-        return {
-            "type": "cover",
-            "n": str(s.params.n),
-            "p": str(s.params.p),
-            "q": str(s.params.q),
-            "orientation": str(s.orientation),
-        }
+        return {"type": "cover", **asdict(s.params), "orientation": s.orientation}
     if isinstance(s, covers.ThreeSphere):
         return {"type": "s3"}
     raise TypeError(f"unknown boundary space {s!r}")
 
 
 def _component(bc: cobordisms.BoundaryComponent) -> dict:
-    return {"space": _space(bc.space), "multiplicity": str(bc.multiplicity)}
-
-
-def _satellite(m: covers.SatelliteParams) -> dict:
-    return {"n": str(m.n), "p": str(m.p), "q": str(m.q)}
+    return {"space": _space(bc.space), "multiplicity": bc.multiplicity}
 
 
 def _verdict(v: obstruction.Verdict) -> dict:
     if v.independent:
         return {"kind": "Independent"}
-    return {"kind": "CriterionFails", "failing_index": str(v.failing_index)}
+    return {"kind": "CriterionFails", "failing_index": v.failing_index}
+
+
+def _schema(v):
+    # Exact type tests: bool stays a JSON boolean, and the walk stays cheap on
+    # the million entries of a large cobordism form.
+    t = type(v)
+    if t is int or t is Fraction:
+        return str(v)
+    if t is dict:
+        return {k: _schema(x) for k, x in v.items()}
+    if t is list or t is tuple:
+        return [_schema(x) for x in v]
+    return v
 
 
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    return json.dumps(_schema(obj), sort_keys=True, indent=2)
 
 
 def _render(fmt: str, payload: dict, text: str) -> str:
@@ -182,11 +182,11 @@ def _cmd_r_invariant(args, config: Config):
     numeric = mpmath.nstr(rv.numeric, NUMERIC_DIGITS)
     residual = mpmath.nstr(rv.residual, 5)
     payload = {
-        "multiplicities": [str(v) for v in sphere.multiplicities],
+        "multiplicities": sphere.multiplicities,
         "numeric": numeric,
-        "rounded": str(rv.rounded),
+        "rounded": rv.rounded,
         "residual": residual,
-        "precision_bits": str(rv.precision_bits),
+        "precision_bits": rv.precision_bits,
     }
     text = "\n".join(
         [
@@ -204,12 +204,7 @@ def _cmd_tau(args, config: Config):
 
     fmt = _pick_format(config, "text", ("text", "json"))
     tau = cs_invariants.tau_brieskorn_family(args.p, args.q, args.k)
-    payload = {
-        "p": str(args.p),
-        "q": str(args.q),
-        "k": str(args.k),
-        "tau": str(tau.value),
-    }
+    payload = {"p": args.p, "q": args.q, "k": args.k, "tau": tau.value}
     return 0, _render(fmt, payload, str(tau.value))
 
 
@@ -221,12 +216,9 @@ def _cmd_compactness(args, config: Config):
     boundary = _parse_triples(args.boundary, "--boundary") if args.boundary else []
     report = cs_invariants.compactness_check(boundary, terminal)
     payload = {
-        "terminal": [str(v) for v in terminal],
-        "boundary": [[str(v) for v in t] for t in boundary],
-        "checks": [
-            {"label": c.label, "lhs": str(c.lhs), "rhs": str(c.rhs), "ok": c.ok}
-            for c in report.checks
-        ],
+        "terminal": terminal,
+        "boundary": boundary,
+        "checks": [asdict(c) for c in report.checks],
         "compact": report.ok,
     }
     return 0, _render(fmt, payload, str(report))
@@ -239,13 +231,13 @@ def _cmd_cover(args, config: Config):
     params = covers.SatelliteParams(args.n, args.p, args.q)
     dec = covers.double_cover_decomposition(params)
     payload = {
-        "input": _satellite(params),
+        "input": asdict(params),
         "exterior_link": {
-            "torus_link": [str(v) for v in dec.exterior_link.link_parameters],
-            "components": list(dec.exterior_link.components),
+            "torus_link": dec.exterior_link.link_parameters,
+            "components": dec.exterior_link.components,
         },
-        "companion_copies": str(dec.companion_copies),
-        "gluings": [[[str(v) for v in row] for row in g.matrix] for g in dec.gluings],
+        "companion_copies": dec.companion_copies,
+        "gluings": [g.matrix for g in dec.gluings],
     }
     text = "\n".join(
         [
@@ -279,13 +271,13 @@ def _cmd_cobordism(args, config: Config):
     defin = exactmath.sign_blocks_definiteness([record.sign])
     payload = {
         "label": record.label.value,
-        "params": _satellite(params),
+        "params": asdict(params),
         "incoming": _component(record.incoming),
         "outgoing": [_component(b) for b in record.outgoing],
-        "form": _matrix(form),
+        "form": form.entries,
         "definiteness": defin.value,
         "h1_z2_trivial": record.h1_z2_trivial,
-        "handle_count": str(record.handle_count),
+        "handle_count": record.handle_count,
     }
     text = "\n".join(
         [
@@ -307,14 +299,9 @@ def _cmd_certify(args, config: Config):
     coefficients = _parse_coefficients(args.coefficients) if args.coefficients else None
     cert = obstruction.certify_family(family, coefficients)
     payload = {
-        "family": [_satellite(m) for m in cert.family.members],
-        "chain_checks": [
-            {"index": str(c.index), "lhs": str(c.lhs), "rhs": str(c.rhs), "ok": c.ok}
-            for c in cert.chain_checks
-        ],
-        "coefficients_tested": None
-        if cert.coefficients_tested is None
-        else [str(c) for c in cert.coefficients_tested],
+        "family": [asdict(m) for m in cert.family.members],
+        "chain_checks": [asdict(c) for c in cert.chain_checks],
+        "coefficients_tested": cert.coefficients_tested,
         "assembled_boundary": [_component(b) for b in cert.assembled_boundary],
         "total_form_definiteness": cert.total_form_definiteness.value,
         "h1_z2_trivial": cert.h1_z2_trivial,
@@ -337,6 +324,8 @@ def _cmd_generate(args, config: Config):
     fmt = _pick_format(config, "csv", ("csv", "json", "text"))
     n, p, q = _parse_ints(args.start, 3, "--start")
     start = covers.SatelliteParams(n, p, q)
+    if args.count > MAX_GENERATE_COUNT:
+        raise InvalidParams(f"count {args.count} exceeds the budget of {MAX_GENERATE_COUNT} members")
     family = obstruction.generate_family(start, args.count, fix_n=args.fix_n)
     rows = [
         {
@@ -350,8 +339,7 @@ def _cmd_generate(args, config: Config):
         for i, m in enumerate(family.members)
     ]
     if fmt == "json":
-        payload = {"rows": [{k: str(v) for k, v in row.items()} for row in rows]}
-        return 0, _dump(payload)
+        return 0, _dump({"rows": rows})
     buf = io.StringIO()
     writer = csv.DictWriter(buf, ["index", "n", "p", "q", "lhs", "rhs"], lineterminator="\n")
     writer.writeheader()
@@ -364,11 +352,6 @@ def _cmd_snf(args, config: Config):
 
     fmt = _pick_format(config, "text", ("text", "json"))
     result = exactmath.smith_normal_form(_parse_matrix(args.matrix))
-    payload = {
-        "diagonal": [str(v) for v in result.diagonal],
-        "left": [[str(v) for v in row] for row in result.left],
-        "right": [[str(v) for v in row] for row in result.right],
-    }
     def rows_str(rows):
         return "[" + "; ".join(", ".join(str(v) for v in r) for r in rows) + "]"
     text = "\n".join(
@@ -378,7 +361,7 @@ def _cmd_snf(args, config: Config):
             "right: " + rows_str(result.right),
         ]
     )
-    return 0, _render(fmt, payload, text)
+    return 0, _render(fmt, asdict(result), text)
 
 
 def _cmd_definiteness(args, config: Config):

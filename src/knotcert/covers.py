@@ -93,9 +93,9 @@ class TorusGluingMap:
         m = tuple(tuple(int(v) for v in row) for row in self.matrix)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise InvalidParams("gluing matrix must be 2x2")
-        if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) != 1:
-            raise InvalidParams(f"gluing matrix {m} is not unimodular")
         object.__setattr__(self, "matrix", m)
+        if abs(self.determinant) != 1:
+            raise InvalidParams(f"gluing matrix {m} is not unimodular")
 
     @property
     def determinant(self) -> int:

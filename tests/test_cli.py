@@ -4,12 +4,13 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotcert import SatelliteParams, doubled_growth, single_growth
-from knotcert.cli import MAX_FORM_HANDLES, dispatch
+from knotcert.cli import MAX_FORM_HANDLES, MAX_GENERATE_COUNT, _dump, dispatch
 
 
 def run(*argv):
@@ -293,6 +294,50 @@ def test_cobordism_within_the_output_budget():
     code, out = run("cobordism", "R", "1000", "2", "3")
     assert code == 0
     assert json.loads(out)["handle_count"] == "1000"
+
+
+def test_generate_refuses_counts_over_the_budget():
+    start = time.perf_counter()
+    code, out = run("generate", "--start", "2,2,3", "--count", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out.startswith("InvalidParams:")
+    assert str(MAX_GENERATE_COUNT) in out
+
+
+def test_generate_within_the_budget():
+    code, out = run("generate", "--start", "2,2,3", "--count", str(MAX_GENERATE_COUNT))
+    assert code == 0
+    assert len(out.splitlines()) == MAX_GENERATE_COUNT + 1
+
+
+def test_dump_writes_integers_and_fractions_as_strings():
+    payload = {
+        "b": True, "n": None, "s": "x", "i": -3, "h": 10**60,
+        "f": Fraction(-3, 4), "g": Fraction(4), "t": ((1, 2), [3]),
+    }
+    assert _dump(payload) == "\n".join(
+        [
+            "{",
+            '  "b": true,',
+            '  "f": "-3/4",',
+            '  "g": "4",',
+            '  "h": "1' + "0" * 60 + '",',
+            '  "i": "-3",',
+            '  "n": null,',
+            '  "s": "x",',
+            '  "t": [',
+            "    [",
+            '      "1",',
+            '      "2"',
+            "    ],",
+            "    [",
+            '      "3"',
+            "    ]",
+            "  ]",
+            "}",
+        ]
+    )
 
 
 def test_help_exits_zero():

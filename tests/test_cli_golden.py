@@ -26,6 +26,10 @@ AS_PROCESS = [
     ("tau", "2", "3"),
 ]
 BY_ARGV = {tuple(entry["argv"]): entry for entry in GOLDEN}
+SUBCOMMANDS = {
+    "r-invariant", "tau", "compactness", "cover", "cobordism",
+    "certify", "generate", "snf", "definiteness",
+}
 
 
 def _clean_env() -> dict[str, str]:
@@ -36,10 +40,7 @@ def _clean_env() -> dict[str, str]:
 
 def test_golden_list_covers_every_subcommand_and_exit_code():
     commands = {arg for entry in GOLDEN for arg in entry["argv"]}
-    assert {
-        "r-invariant", "tau", "compactness", "cover", "cobordism",
-        "certify", "generate", "snf", "definiteness", "--help",
-    } <= commands
+    assert SUBCOMMANDS | {"--help"} <= commands
     assert {entry["code"] for entry in GOLDEN} == {0, 1, 2}
     assert set(AS_PROCESS) <= set(BY_ARGV)
 
@@ -52,6 +53,17 @@ def test_dispatch_matches_golden(entry, monkeypatch):
     code, output = dispatch(list(entry["argv"]))
     assert code == entry["code"]
     assert (output + "\n" if output else "") == entry["stdout"]
+
+
+def _no_json_numbers(text):
+    raise AssertionError(f"JSON number {text} in CLI output")
+
+
+def test_golden_json_outputs_carry_no_json_number():
+    objects = [e for e in GOLDEN if e["stdout"].startswith("{")]
+    assert {arg for e in objects for arg in e["argv"]} >= SUBCOMMANDS
+    for entry in objects:
+        json.loads(entry["stdout"], parse_int=_no_json_numbers, parse_float=_no_json_numbers)
 
 
 @pytest.mark.parametrize("argv", AS_PROCESS, ids=" ".join)
