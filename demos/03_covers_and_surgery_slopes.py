@@ -17,14 +17,11 @@ from knotcert import (
     moser_identify,
     pattern_gluing_map,
     post_surgery_gluing,
-    satellite_alexander_trivial,
     slope_from_filling,
 )
 
 params = SatelliteParams(n=4, p=2, q=3)
 print(f"satellite: {params}")
-print(f"Alexander polynomial trivial (topologically slice): "
-      f"{satellite_alexander_trivial(params)}")
 
 dec = double_cover_decomposition(params)
 print(f"exterior link: T{dec.exterior_link.link_parameters}, "

@@ -10,7 +10,7 @@ growth criterion that certifies infinite families independent in the smooth
 concordance group.  All certificate arithmetic is exact.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Public name -> the submodule that defines it.  Names resolve on first access
 # (PEP 562), so `import knotcert` loads no submodule and no mpmath.
@@ -36,7 +36,6 @@ _EXPORTS = {
     "moser_identify": "covers",
     "pattern_gluing_map": "covers",
     "post_surgery_gluing": "covers",
-    "satellite_alexander_trivial": "covers",
     "slope_from_filling": "covers",
     "CompactnessCheck": "cs_invariants",
     "CompactnessReport": "cs_invariants",
@@ -55,17 +54,14 @@ _EXPORTS = {
     "NonIntegerCount": "errors",
     "UnsupportedSlope": "errors",
     "Definiteness": "exactmath",
-    "Rational": "exactmath",
     "Slope": "exactmath",
     "SNFResult": "exactmath",
     "SymIntMatrix": "exactmath",
     "definiteness": "exactmath",
     "direct_sum": "exactmath",
-    "gcd": "exactmath",
     "smith_normal_form": "exactmath",
     "BrieskornSphere": "fs_invariant",
     "RValue": "fs_invariant",
-    "r_family_closed_form": "fs_invariant",
     "r_invariant": "fs_invariant",
     "AssembledManifold": "obstruction",
     "ChainCheck": "obstruction",

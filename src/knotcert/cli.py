@@ -279,7 +279,9 @@ def _cmd_cobordism(args, config: Config):
         "h1_z2_trivial": record.h1_z2_trivial,
         "handle_count": record.handle_count,
     }
-    text = "\n".join(
+    if fmt == "json":
+        return 0, _dump(payload)
+    return 0, "\n".join(
         [
             f"{record}: {record.incoming} -> "
             + (", ".join(str(b) for b in record.outgoing) if record.outgoing else "(empty)"),
@@ -287,7 +289,6 @@ def _cmd_cobordism(args, config: Config):
             f"h1_z2_trivial: {record.h1_z2_trivial}",
         ]
     )
-    return 0, _render(fmt, payload, text)
 
 
 def _cmd_certify(args, config: Config):

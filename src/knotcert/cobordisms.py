@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Union
+from typing import ClassVar, Union
 
 from .covers import (
     KILL_LONGITUDE,
@@ -34,6 +34,7 @@ from .covers import (
     post_surgery_gluing,
     slope_from_filling,
 )
+from .cs_invariants import _validate_sign
 from .errors import InvalidParams, UnsupportedSlope
 from .exactmath import SymIntMatrix
 from .fs_invariant import BrieskornSphere
@@ -75,22 +76,22 @@ class CobordismRecord:
 
     orientation is +1 for the cobordism as built and -1 for its reversal.
     The intersection form is sign * I_handle_count, carried as that sign and
-    size; form materialises the dense matrix on each access.
+    size; form materialises the dense matrix on each access.  Z, R and P all
+    have trivial first homology, so h1_z2_trivial is a class constant.
     """
 
     label: CobordismLabel
     params: SatelliteParams
     incoming: BoundaryComponent
     outgoing: tuple[BoundaryComponent, ...]
-    h1_z2_trivial: bool
     handle_count: int
     orientation: int = 1
+    h1_z2_trivial: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.handle_count < 1:
             raise InvalidParams(f"handle count must be >= 1, got {self.handle_count}")
-        if self.orientation not in (1, -1):
-            raise InvalidParams("orientation must be +1 or -1")
+        _validate_sign(self.orientation)
 
     @property
     def sign(self) -> int:
@@ -133,7 +134,6 @@ def build_Z(s: SatelliteParams, crossings: int | None = None) -> CobordismRecord
         params=s,
         incoming=BoundaryComponent(BranchedCover(s)),
         outgoing=(BoundaryComponent(outgoing),),
-        h1_z2_trivial=True,
         handle_count=c,
     )
 
@@ -153,7 +153,6 @@ def build_R(s: SatelliteParams) -> CobordismRecord:
         params=s,
         incoming=BoundaryComponent(BranchedCover(s)),
         outgoing=(),
-        h1_z2_trivial=True,
         handle_count=s.n,
     )
 
@@ -169,7 +168,6 @@ def build_P(s: SatelliteParams) -> CobordismRecord:
         params=s,
         incoming=BoundaryComponent(BranchedCover(s)),
         outgoing=(BoundaryComponent(outgoing, multiplicity=2),),
-        h1_z2_trivial=True,
         handle_count=s.n,
     )
 

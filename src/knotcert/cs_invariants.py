@@ -25,6 +25,19 @@ def _validate_triple(p: int, q: int, k: int = 1) -> None:
         raise InvalidParams(f"k must be >= 1, got {k}")
 
 
+def _validate_twist(n: int, name: str = "n") -> None:
+    """The one rule for a twist parameter: even n >= 2 (odd n gives the
+    pattern nonzero winding number)."""
+    if n < 2 or n % 2 != 0:
+        raise InvalidParams(f"{name} must be a positive even integer, got {n}")
+
+
+def _validate_sign(s: int, name: str = "orientation") -> None:
+    """The one rule for an orientation or framing sign: +1 or -1."""
+    if s not in (1, -1):
+        raise InvalidParams(f"{name} must be +1 or -1")
+
+
 def _growth(p: int, q: int, k: int) -> int:
     """p*q*(k*p*q - 1): 1/tau(Sigma(p, q, k*p*q - 1)) and the chain criterion's sides."""
     return p * q * (k * p * q - 1)
@@ -128,14 +141,10 @@ def compactness_check(
     """
     pN, qN, kN = terminal
     p1 = pontryagin_number(pN, qN, kN)
+    lens = lens_cs_lower_bound(pN, qN, kN)
     checks = [
         CompactnessCheck("p1 < 4 (no bubbling)", p1, Fraction(4), p1 < 4),
-        CompactnessCheck(
-            f"p1 < lens bound({pN},{qN},{kN})",
-            p1,
-            lens_cs_lower_bound(pN, qN, kN),
-            p1 < lens_cs_lower_bound(pN, qN, kN),
-        ),
+        CompactnessCheck(f"p1 < lens bound({pN},{qN},{kN})", p1, lens, p1 < lens),
     ]
     for p, q, k in boundary:
         tau = tau_brieskorn_family(p, q, k).value

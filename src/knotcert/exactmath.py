@@ -1,9 +1,9 @@
-"""Exact rational arithmetic and integer linear algebra.
+"""Surgery slopes and exact integer linear algebra.
 
 Everything in this module is pure and exact: arbitrary-precision Python
-integers, ``fractions.Fraction`` for rationals, no floating point anywhere.
-Downstream modules rely on that exactness to make their outputs certifiable,
-so do not "optimize" any of it into floats.
+integers, no floating point anywhere.  Downstream modules rely on that
+exactness to make their outputs certifiable, so do not "optimize" any of it
+into floats.
 """
 
 from __future__ import annotations
@@ -11,19 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InvalidParams
-
-# Exact rationals.  Fraction already guarantees lowest terms and a positive
-# denominator, which is the whole contract we need.
-Rational = Fraction
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, non-negative; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -105,12 +95,6 @@ class SymIntMatrix:
     @property
     def dimension(self) -> int:
         return len(self.entries)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
-    def __neg__(self) -> "SymIntMatrix":
-        return SymIntMatrix([[-v for v in row] for row in self.entries])
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(v) for v in row) for row in self.entries) + "]"

@@ -12,9 +12,6 @@ and certified to round to an integer: if the residual exceeds the tolerance
 the working precision doubles, up to a hard cap, before the computation is
 rejected.  Trigonometric arguments are reduced modulo the period exactly, in
 rational arithmetic, so huge multiplicities do not leak precision.
-
-On the surgery family Sigma(p, q, k*p*q - 1) the invariant is identically 1;
-r_family_closed_form provides that value as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .cs_invariants import _validate_triple
+from .cs_invariants import _validate_sign
 from .errors import IntegralityFailure, InvalidParams
 
 # mpmath is imported inside the functions that evaluate R: loading it takes
@@ -59,8 +56,7 @@ class BrieskornSphere:
             for j in range(i + 1, 3):
                 if math.gcd(a[i], a[j]) != 1:
                     raise InvalidParams(f"multiplicities {tuple(a)} are not pairwise coprime")
-        if self.orientation not in (1, -1):
-            raise InvalidParams("orientation must be +1 or -1")
+        _validate_sign(self.orientation)
         object.__setattr__(self, "a1", a[0])
         object.__setattr__(self, "a2", a[1])
         object.__setattr__(self, "a3", a[2])
@@ -116,12 +112,11 @@ def r_invariant(
     s: BrieskornSphere,
     precision_bits: int | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_precision_bits: int = MAX_PRECISION_BITS,
 ) -> RValue:
     """R of a positively oriented Brieskorn sphere, certified to be integral.
 
     Raises IntegralityFailure if the residual still exceeds the tolerance at
-    max_precision_bits (which signals a precision problem or invalid input,
+    MAX_PRECISION_BITS (which signals a precision problem or invalid input,
     never a legitimately non-integral value).
     """
     import mpmath
@@ -132,7 +127,7 @@ def r_invariant(
     product = a1 * a2 * a3
     floor_bits = 50 + math.ceil(10 * math.log10(product))
     bits = max(precision_bits or DEFAULT_PRECISION_BITS, floor_bits)
-    bits = min(bits, max_precision_bits)
+    bits = min(bits, MAX_PRECISION_BITS)
     while True:
         value = _cotangent_sum(a1, a2, a3, bits)
         with mpmath.workprec(bits):
@@ -140,19 +135,9 @@ def r_invariant(
             residual = abs(value - rounded)
         if residual <= tolerance:
             return RValue(numeric=value, rounded=rounded, residual=residual, precision_bits=bits)
-        if bits >= max_precision_bits:
+        if bits >= MAX_PRECISION_BITS:
             raise IntegralityFailure(
                 f"R({a1},{a2},{a3}) residual {mpmath.nstr(residual, 5)} exceeds "
                 f"tolerance {tolerance} at {bits} bits"
             )
-        bits = min(2 * bits, max_precision_bits)
-
-
-def r_family_closed_form(p: int, q: int, k: int) -> int:
-    """R(p, q, k*p*q - 1) for coprime p, q >= 2 and k >= 1: identically 1.
-
-    This closed form (a Neumann-Zagier consequence) is the independent
-    oracle against which the numeric evaluation is checked.
-    """
-    _validate_triple(p, q, k)
-    return 1
+        bits = min(2 * bits, MAX_PRECISION_BITS)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .cobordisms import (
     BoundaryComponent,
@@ -31,7 +31,7 @@ from .cobordisms import (
     reverse_orientation,
 )
 from .covers import SatelliteParams
-from .cs_invariants import _growth, _validate_triple
+from .cs_invariants import _growth, _validate_triple, _validate_twist
 from .errors import AllZeroCoefficients, InvalidParams
 from .exactmath import Definiteness, SymIntMatrix, sign_blocks_definiteness
 
@@ -70,14 +70,6 @@ class Verdict:
     independent: bool
     failing_index: int | None = None
 
-    @classmethod
-    def ok(cls) -> "Verdict":
-        return cls(True)
-
-    @classmethod
-    def fails(cls, index: int) -> "Verdict":
-        return cls(False, index)
-
     def __str__(self) -> str:
         return "Independent" if self.independent else f"CriterionFails({self.failing_index})"
 
@@ -85,12 +77,13 @@ class Verdict:
 @dataclass(frozen=True)
 class AssembledManifold:
     """Boundary and intersection-form data of the closed-up manifold X; the
-    form is the direct sum of sign * I_size over blocks, in order."""
+    form is the direct sum of sign * I_size over blocks, in order.  X is
+    glued from Z/R/P pieces with trivial H_1, so h1_z2_trivial is constant."""
 
     boundary: tuple[BoundaryComponent, ...]
     blocks: tuple[tuple[int, int], ...]
-    h1_z2_trivial: bool
     normalization_note: str | None = None
+    h1_z2_trivial: ClassVar[bool] = True
 
     @property
     def form(self) -> SymIntMatrix:
@@ -105,8 +98,8 @@ class IndependenceCertificate:
     coefficients_tested: tuple[int, ...] | None
     assembled_boundary: tuple[BoundaryComponent, ...]
     total_form_definiteness: Definiteness
-    h1_z2_trivial: bool
     verdict: Verdict
+    h1_z2_trivial: ClassVar[bool] = True
 
 
 def doubled_growth(m: SatelliteParams) -> int:
@@ -165,20 +158,17 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
     z = build_Z(members[-1])
     blocks = [(z.sign, z.handle_count)]
     boundary = list(z.outgoing)
-    h1 = z.h1_z2_trivial
     for member, c in zip(members, cs):
         if c == 0:
             continue
         # R has no outgoing boundary, so only reversed P adds pieces here.
         record = build_R(member) if c > 0 else reverse_orientation(build_P(member))
         blocks.append((record.sign, record.handle_count * abs(c)))
-        h1 = h1 and record.h1_z2_trivial
         boundary.extend(BoundaryComponent(b.space, b.multiplicity * abs(c)) for b in record.outgoing)
 
     return AssembledManifold(
         boundary=tuple(boundary),
         blocks=tuple(blocks),
-        h1_z2_trivial=h1,
         normalization_note="; ".join(notes) if notes else None,
     )
 
@@ -200,7 +190,6 @@ def certify_family(
         lhs, rhs = doubled_growth(members[i]), single_growth(members[i + 1])
         checks.append(ChainCheck(index=i + 1, lhs=lhs, rhs=rhs, ok=lhs < rhs))
     failing = next((c.index for c in checks if not c.ok), None)
-    verdict = Verdict.ok() if failing is None else Verdict.fails(failing)
 
     tested = None if coefficients is None else tuple(int(c) for c in coefficients)
     assembled = assemble_X(f, [1] * len(members) if tested is None else tested)
@@ -211,8 +200,7 @@ def certify_family(
         coefficients_tested=tested,
         assembled_boundary=assembled.boundary,
         total_form_definiteness=sign_blocks_definiteness(s for s, _ in assembled.blocks),
-        h1_z2_trivial=assembled.h1_z2_trivial,
-        verdict=verdict,
+        verdict=Verdict(failing is None, failing),
     )
 
 
@@ -239,8 +227,8 @@ def next_member(prefix: Family, fix_n: int | None = None) -> SatelliteParams:
     wins; otherwise the first pair, (2, 3), always wins with the minimal
     even n >= 2 past the bound.
     """
-    if fix_n is not None and (fix_n < 2 or fix_n % 2 != 0):
-        raise InvalidParams(f"fix_n must be a positive even integer, got {fix_n}")
+    if fix_n is not None:
+        _validate_twist(fix_n, "fix_n")
     bound = doubled_growth(prefix.members[-1])
     if fix_n is None:
         # minimal even n >= 2 with 6*(6n - 1) > bound

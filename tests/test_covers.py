@@ -1,5 +1,7 @@
 """Satellite parameters, branched-cover splittings, and slope calculus."""
 
+from math import gcd
+
 import pytest
 
 from knotcert import (
@@ -7,7 +9,6 @@ from knotcert import (
     KILL_MERIDIAN,
     THREE_SPHERE,
     BrieskornSphere,
-    CoverDecomposition,
     InvalidParams,
     SatelliteParams,
     Slope,
@@ -18,11 +19,8 @@ from knotcert import (
     moser_identify,
     pattern_gluing_map,
     post_surgery_gluing,
-    satellite_alexander_trivial,
     slope_from_filling,
 )
-from knotcert.covers import TorusLinkExterior
-from knotcert.exactmath import gcd
 
 
 def test_satellite_params_validation():
@@ -35,11 +33,6 @@ def test_satellite_params_validation():
         SatelliteParams(2, 2, 4)
     with pytest.raises(InvalidParams):
         SatelliteParams(2, 1, 3)
-
-
-def test_alexander_polynomial_trivial_for_even_twists():
-    assert satellite_alexander_trivial(SatelliteParams(2, 2, 3)) is True
-    assert satellite_alexander_trivial(SatelliteParams(4, 3, 5)) is True
 
 
 def test_decomposition_gluing_matrices():
@@ -64,21 +57,6 @@ def test_decomposition_is_pattern_only_data():
     for p, q in [(2, 3), (3, 5), (2, 7), (5, 6)]:
         assert double_cover_decomposition(SatelliteParams(6, p, q)) == double_cover_decomposition(
             SatelliteParams(6, 2, 3)
-        )
-
-
-def test_decomposition_validates_gluings():
-    with pytest.raises(InvalidParams):
-        CoverDecomposition(
-            exterior_link=TorusLinkExterior(2),
-            companion_copies=2,
-            gluings=(pattern_gluing_map(2), pattern_gluing_map(4)),
-        )
-    with pytest.raises(InvalidParams):
-        CoverDecomposition(
-            exterior_link=TorusLinkExterior(2),
-            companion_copies=1,
-            gluings=(pattern_gluing_map(2), pattern_gluing_map(2)),
         )
 
 

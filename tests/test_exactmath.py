@@ -1,5 +1,6 @@
 """Exact linear algebra: Smith form, definiteness, slopes, rationals."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from knotcert import (
     SymIntMatrix,
     definiteness,
     direct_sum,
-    gcd,
     smith_normal_form,
 )
 from oracles import box_definiteness_oracle, det_exact, snf_bruteforce_2x2
@@ -35,14 +35,6 @@ def random_symmetric(rng, dim, bound=5):
         for j in range(i, dim):
             rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
     return rows
-
-
-def test_gcd_examples():
-    assert gcd(6, 10) == 2
-    assert gcd(0, 7) == 7
-    assert gcd(35, 12) == 1
-    assert gcd(0, 0) == 0
-    assert gcd(-6, 10) == 2
 
 
 # --- Smith normal form ----------------------------------------------------
@@ -111,6 +103,23 @@ def test_snf_huge_entries_stay_exact():
     a = [[10**30, 1], [0, 10**30]]
     res = _check_snf(a)
     assert res.diagonal == (1, 10**60)
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """1-6 x 1-6 integer matrices with small entries, sometimes one near 10^30."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(st.integers(-9, 9), min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if draw(st.booleans()):
+        big = draw(st.sampled_from([1, -1])) * 10**30 + draw(st.integers(-5, 5))
+        a[draw(st.integers(0, nr - 1))][draw(st.integers(0, nc - 1))] = big
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(rectangular_matrices())
+def test_snf_transform_identity_and_chain_property(a):
+    _check_snf(a)
 
 
 # --- definiteness ----------------------------------------------------------
@@ -273,3 +282,21 @@ def test_slope_rejects_invalid():
         Slope(2, 4)
     with pytest.raises(InvalidParams):
         Slope(3, 0)
+
+
+@given(st.integers(), st.integers())
+def test_slope_canonical_form_property(a, b):
+    if math.gcd(a, b) != 1:
+        with pytest.raises(InvalidParams):
+            Slope(a, b)
+        return
+    s = Slope(a, b)
+    assert s == Slope(-a, -b)
+    assert (s.a, s.b) in ((a, b), (-a, -b))
+    assert s.b > 0 or (s.a, s.b) == (1, 0)
+
+
+@given(st.integers(), st.integers(), st.integers(2, 10**6))
+def test_slope_rejects_every_non_primitive_pair(a, b, m):
+    with pytest.raises(InvalidParams):
+        Slope(m * a, m * b)

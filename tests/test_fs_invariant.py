@@ -9,9 +9,9 @@ from knotcert import (
     BrieskornSphere,
     IntegralityFailure,
     InvalidParams,
-    r_family_closed_form,
     r_invariant,
 )
+from knotcert import fs_invariant
 from knotcert.fs_invariant import _cotangent_sum
 from oracles import r_oracle, random_coprime_triple
 
@@ -99,25 +99,7 @@ def test_precision_escalates_until_tolerance_met():
     assert rv.residual <= 1e-45
 
 
-def test_integrality_failure_when_precision_capped():
+def test_integrality_failure_when_precision_capped(monkeypatch):
+    monkeypatch.setattr(fs_invariant, "MAX_PRECISION_BITS", 128)
     with pytest.raises(IntegralityFailure):
-        r_invariant(
-            BrieskornSphere(2, 3, 7),
-            precision_bits=128,
-            tolerance=1e-45,
-            max_precision_bits=128,
-        )
-
-
-def test_closed_form_family_value():
-    assert r_family_closed_form(2, 3, 1) == 1
-    assert r_family_closed_form(3, 5, 2) == 1
-
-
-def test_closed_form_validates_params():
-    with pytest.raises(InvalidParams):
-        r_family_closed_form(2, 3, 0)
-    with pytest.raises(InvalidParams):
-        r_family_closed_form(2, 4, 1)
-    with pytest.raises(InvalidParams):
-        r_family_closed_form(1, 3, 1)
+        r_invariant(BrieskornSphere(2, 3, 7), precision_bits=128, tolerance=1e-45)

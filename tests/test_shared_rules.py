@@ -1,13 +1,15 @@
 """Rules that live in one place, and facts that hold without a runtime check.
 
-The (p, q, k) validation is one helper called from every site that takes a
-triple or a torus-knot pair, and the package source holds no assert
+The (p, q, k) validation, the twist rule and the orientation rule are each
+one helper called from every site that takes such a value, and the package
+source holds no assert
 statement: asserts vanish under python -O, so runtime invariants are
 explicit domain errors, and facts that hold by construction are checked
 here instead.
 """
 
 import ast
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -19,18 +21,22 @@ from hypothesis import strategies as st
 from knotcert import (
     KILL_LONGITUDE,
     KILL_MERIDIAN,
+    BranchedCover,
     BrieskornSphere,
+    Family,
     InvalidParams,
     SatelliteParams,
     Slope,
     TorusGluingMap,
+    TorusLinkExterior,
     UnsupportedSlope,
     build_R,
     furuta_chain_check,
     lens_cs_lower_bound,
     moser_identify,
+    next_member,
     pontryagin_number,
-    r_family_closed_form,
+    post_surgery_gluing,
     slope_from_filling,
     tau_brieskorn_family,
 )
@@ -58,7 +64,6 @@ def test_every_site_applies_the_same_triple_rule(p, q, k):
         tau_brieskorn_family,
         pontryagin_number,
         lens_cs_lower_bound,
-        r_family_closed_form,
         lambda p, q, k: furuta_chain_check([(p, q, k)]),
     ]
     pair_sites = [
@@ -79,6 +84,42 @@ def test_every_site_applies_the_same_triple_rule(p, q, k):
                 fn(p, q)
     if pair_ok and k >= 1:
         assert 0 < pontryagin_number(p, q, k) <= Fraction(1, 30)
+
+
+@SETTINGS
+@given(st.integers(-3, 12))
+def test_every_site_applies_the_same_twist_rule(n):
+    ok = n >= 2 and n % 2 == 0
+    start = Family((SatelliteParams(2, 2, 3),))
+    sites = [
+        ("n", lambda n: SatelliteParams(n, 2, 3)),
+        ("n", TorusLinkExterior),
+        ("fix_n", lambda n: next_member(start, fix_n=n)),
+    ]
+    for name, fn in sites:
+        if ok:
+            fn(n)
+        else:
+            with pytest.raises(InvalidParams, match=f"^{name} must be a positive even integer, got {n}$"):
+                fn(n)
+
+
+@SETTINGS
+@given(st.integers(-3, 3))
+def test_every_site_applies_the_same_orientation_rule(o):
+    params = SatelliteParams(2, 2, 3)
+    sites = [
+        ("orientation", lambda o: BranchedCover(params, o)),
+        ("orientation", lambda o: BrieskornSphere(2, 3, 5, o)),
+        ("orientation", lambda o: replace(build_R(params), orientation=o)),
+        ("handle_sign", lambda o: post_surgery_gluing(2, o)),
+    ]
+    for name, fn in sites:
+        if o in (1, -1):
+            fn(o)
+        else:
+            with pytest.raises(InvalidParams, match=f"^{name} must be \\+1 or -1$"):
+                fn(o)
 
 
 @SETTINGS
