@@ -62,6 +62,7 @@ _EXPORTS = {
     "smith_normal_form": "exactmath",
     "BrieskornSphere": "fs_invariant",
     "RValue": "fs_invariant",
+    "r_exact": "fs_invariant",
     "r_invariant": "fs_invariant",
     "AssembledManifold": "obstruction",
     "ChainCheck": "obstruction",

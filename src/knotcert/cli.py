@@ -53,12 +53,10 @@ class Config:
     output_format: str | None = None  # None: per-command default
 
     def __post_init__(self) -> None:
-        if self.precision_bits < 64:
-            raise UsageError(f"precision must be >= 64 bits, got {self.precision_bits}")
-        if not 0 < self.integrality_tolerance < 0.5:
-            raise UsageError(
-                f"tolerance must lie in (0, 1/2), got {self.integrality_tolerance}"
-            )
+        try:
+            fs_invariant._validate_numeric(self.precision_bits, self.integrality_tolerance)
+        except InvalidParams as exc:
+            raise UsageError(str(exc)) from None
         if self.output_format not in (None, "json", "csv", "text"):
             raise UsageError(f"unknown format {self.output_format!r}")
 

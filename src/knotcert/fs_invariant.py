@@ -11,14 +11,22 @@ with a = a1*a2*a3.  The sum is evaluated in multiprecision floating point
 and certified to round to an integer: if the residual exceeds the tolerance
 the working precision doubles, up to a hard cap, before the computation is
 rejected.  Trigonometric arguments are reduced modulo the period exactly, in
-rational arithmetic, so huge multiplicities do not leak precision.
+integer arithmetic, so huge multiplicities do not leak precision, and one
+table of cot(pi*j/a_i) per multiplicity serves both cotangent factors.
+
+The same value has a closed form in integers (Neumann-Zagier, "A note on an
+invariant of Fintushel and Stern", 1985):
+
+    R(a1, a2, a3) = 2/a + sum_i (a_i - 2*r_i)/a_i,   r_i = (a/a_i)^-1 mod a_i.
+
+r_exact evaluates it in O(log a); r_invariant checks its rounded sum against
+it, and refuses sums of more than MAX_COTANGENT_TERMS terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .cs_invariants import _validate_sign
@@ -32,6 +40,10 @@ if TYPE_CHECKING:
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
 MAX_PRECISION_BITS = 4096
+# r_invariant's sum has sum(a_i - 1) terms, about 40 us each at 128 bits, so
+# the largest admitted sum takes about 4 s; larger ones fail with InvalidParams
+# (exit 1) instead of running for hours.
+MAX_COTANGENT_TERMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -87,25 +99,84 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
     """Evaluate the index sum at the given binary precision.
 
     Exposed for tests; callers normally want r_invariant, which adds the
-    integrality certificate.  The argument of the outer cotangent is reduced
-    mod 1 as an exact Fraction first (cot is pi-periodic), which is what
-    keeps the evaluation stable for large products a1*a2*a3.
+    integrality certificate.  Every step is the libmp operation, precision
+    and rounding that mpmath's own expression (pi*k/a_i, cot, sin(.)**2, the
+    products and the running sums, all under workprec(bits)) performs, so the
+    result is that expression's bit for bit, without the wrapper layer.
+    (That needs every a_i below 2^bits, so that mpf(a_i) is exact; the term
+    budget of r_invariant keeps them far below.)
+
+    With b = a/a_i, the outer argument a*k/a_i^2 = b*k/a_i is reduced mod 1
+    in integers first (cot is pi-periodic), which is what keeps the
+    evaluation stable for large products a1*a2*a3.  When gcd(k, a_i) = 1 the
+    reduced argument is the inner argument of k' = b*k mod a_i, so one table
+    of cot(pi*j/a_i) serves both cotangent factors.
     """
     import mpmath
+    from mpmath.libmp import (
+        fone, fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
+        mpf_pow_int, mpf_sin, mpf_tan, round_nearest,
+    )
+
+    rnd = round_nearest
+    guard = bits + 10  # mpmath.cot evaluates one/tan with 10 guard bits
+    pi = mpf_pi(bits, rnd)
+
+    def angle(n: int, d: int):
+        return mpf_div(mpf_mul_int(pi, n, bits, rnd), from_int(d), bits, rnd)
+
+    def cot(x):
+        return mpf_pos(mpf_div(fone, mpf_tan(x, guard, rnd), guard, rnd), bits, rnd)
 
     a = a1 * a2 * a3
-    with mpmath.workprec(bits):
-        total = mpmath.mpf(2) / a
-        for ai in (a1, a2, a3):
-            inner = mpmath.mpf(0)
-            for k in range(1, ai):
-                # a*k/ai^2 is never an integer: ai | a*k would force ai | k.
-                r_outer = Fraction(a * k, ai * ai) % 1
-                outer = mpmath.cot(mpmath.pi * mpmath.mpf(r_outer.numerator) / r_outer.denominator)
-                theta = mpmath.pi * k / ai
-                inner += outer * mpmath.cot(theta) * mpmath.sin(theta) ** 2
-            total += 2 * inner / ai
-        return +total
+    total = mpf_div(from_int(2), from_int(a), bits, rnd)
+    for ai in (a1, a2, a3):
+        b = a // ai
+        cots = [fzero] + [cot(angle(j, ai)) for j in range(1, ai)]  # cots[0] is never read
+        inner = fzero
+        for k in range(1, ai):
+            g = math.gcd(k, ai)
+            if g == 1:
+                outer = cots[b * k % ai]
+            else:
+                # In lowest terms b*k/a_i = (b*k/g)/d; its residue mod d is
+                # never 0, as a_i | b*k would force a_i | k.
+                d = ai // g
+                outer = cot(angle(b * k // g % d, d))
+            sin2 = mpf_pow_int(mpf_sin(angle(k, ai), bits, rnd), 2, bits, rnd)
+            term = mpf_mul(mpf_mul(outer, cots[k], bits, rnd), sin2, bits, rnd)
+            inner = mpf_add(inner, term, bits, rnd)
+        share = mpf_div(mpf_mul_int(inner, 2, bits, rnd), from_int(ai), bits, rnd)
+        total = mpf_add(total, share, bits, rnd)
+    return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))
+
+
+def _validate_numeric(precision_bits: int, tolerance: float) -> None:
+    """The rule for a working precision and an integrality tolerance.
+
+    A tolerance of 1/2 or more would certify any value: every residual from
+    the nearest integer is at most 1/2.
+    """
+    if precision_bits < 64:
+        raise InvalidParams(f"precision must be >= 64 bits, got {precision_bits}")
+    if not 0 < tolerance < 0.5:
+        raise InvalidParams(f"tolerance must lie in (0, 1/2), got {tolerance}")
+
+
+def r_exact(s: BrieskornSphere) -> int:
+    """R of a positively oriented Brieskorn sphere by the Neumann-Zagier identity.
+
+    Integer arithmetic only, O(log a) for a = a1*a2*a3.
+    """
+    if s.orientation != 1:
+        raise InvalidParams("R is defined here for the positive orientation only")
+    a = s.a1 * s.a2 * s.a3
+    # a*R = 2 + sum_i (a_i - 2*r_i) * (a/a_i)
+    numerator = 2 + sum((ai - 2 * pow(a // ai, -1, ai)) * (a // ai) for ai in s.multiplicities)
+    value, remainder = divmod(numerator, a)
+    if remainder:
+        raise IntegralityFailure(f"R{s.multiplicities} = {numerator}/{a} is not an integer")
+    return value
 
 
 def r_invariant(
@@ -115,25 +186,40 @@ def r_invariant(
 ) -> RValue:
     """R of a positively oriented Brieskorn sphere, certified to be integral.
 
-    Raises IntegralityFailure if the residual still exceeds the tolerance at
+    precision_bits (None: DEFAULT_PRECISION_BITS) and tolerance must satisfy
+    _validate_numeric; a sum of more than MAX_COTANGENT_TERMS terms is refused.
+    Both raise InvalidParams before any floating-point work.  Raises
+    IntegralityFailure if the residual still exceeds the tolerance at
     MAX_PRECISION_BITS (which signals a precision problem or invalid input,
-    never a legitimately non-integral value).
+    never a legitimately non-integral value), or if the rounded sum
+    disagrees with r_exact.
     """
+    bits = DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits
+    _validate_numeric(bits, tolerance)
+    exact = r_exact(s)
+    a1, a2, a3 = s.multiplicities
+    terms = a1 + a2 + a3 - 3
+    if terms > MAX_COTANGENT_TERMS:
+        raise InvalidParams(
+            f"R({a1},{a2},{a3}) needs {terms} cotangent terms, more than the budget of "
+            f"{MAX_COTANGENT_TERMS}; its exact value (r_exact) is {exact}"
+        )
     import mpmath
 
-    if s.orientation != 1:
-        raise InvalidParams("r_invariant is defined here for the positive orientation only")
-    a1, a2, a3 = s.multiplicities
     product = a1 * a2 * a3
     floor_bits = 50 + math.ceil(10 * math.log10(product))
-    bits = max(precision_bits or DEFAULT_PRECISION_BITS, floor_bits)
-    bits = min(bits, MAX_PRECISION_BITS)
+    bits = min(max(bits, floor_bits), MAX_PRECISION_BITS)
     while True:
         value = _cotangent_sum(a1, a2, a3, bits)
         with mpmath.workprec(bits):
             rounded = int(mpmath.nint(value))
             residual = abs(value - rounded)
         if residual <= tolerance:
+            if rounded != exact:
+                raise IntegralityFailure(
+                    f"R({a1},{a2},{a3}) rounds to {rounded} at {bits} bits, "
+                    f"but its exact value (r_exact) is {exact}"
+                )
             return RValue(numeric=value, rounded=rounded, residual=residual, precision_bits=bits)
         if bits >= MAX_PRECISION_BITS:
             raise IntegralityFailure(

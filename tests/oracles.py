@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: the
 cotangent sum is evaluated directly in mpmath without rational argument
-reduction, determinants use Fraction Gaussian elimination rather than the
+reduction (and, as a frozen bit-for-bit reference, by the high-level mpmath
+expression the library used before it moved to mpmath.libmp), determinants use Fraction Gaussian elimination rather than the
 library's fraction-free scheme, definiteness is decided by brute-force
 quadratic-form evaluation, the 2x2 Smith form is found by breadth-first
 search over elementary unimodular operations, and chain successors come from
@@ -40,6 +41,28 @@ def r_oracle(a1: int, a2: int, a3: int, bits: int = 256):
             total += 2 * inner / ai
         rounded = int(mpmath.nint(total))
         return total, rounded, abs(total - rounded)
+
+
+def cotangent_sum_reference(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
+    """fs_invariant._cotangent_sum as it stood in knotcert 0.2.0, verbatim.
+
+    The library now performs the same operations on mpmath.libmp values;
+    its result must equal this one bit for bit, because the CLI prints the
+    sum's rounding noise.
+    """
+    a = a1 * a2 * a3
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(2) / a
+        for ai in (a1, a2, a3):
+            inner = mpmath.mpf(0)
+            for k in range(1, ai):
+                # a*k/ai^2 is never an integer: ai | a*k would force ai | k.
+                r_outer = Fraction(a * k, ai * ai) % 1
+                outer = mpmath.cot(mpmath.pi * mpmath.mpf(r_outer.numerator) / r_outer.denominator)
+                theta = mpmath.pi * k / ai
+                inner += outer * mpmath.cot(theta) * mpmath.sin(theta) ** 2
+            total += 2 * inner / ai
+        return +total
 
 
 def det_exact(rows) -> Fraction:

@@ -69,9 +69,20 @@ def test_tolerance_flag_triggers_escalation():
 def test_bad_precision_is_usage_error():
     code, out = run("r-invariant", "2", "3", "5", "--precision", "32")
     assert code == 2
-    assert "usage error" in out
+    assert out == "usage error: precision must be >= 64 bits, got 32"
     code, out = run("r-invariant", "2", "3", "5", "--tolerance", "0.7")
-    assert code == 2
+    assert (code, out) == (2, "usage error: tolerance must lie in (0, 1/2), got 0.7")
+
+
+def test_r_invariant_over_the_term_budget_fails_fast_with_the_exact_value():
+    start = time.perf_counter()
+    code, out = run("r-invariant", "2", "3", "1000000007")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (
+        1,
+        "InvalidParams: R(2,3,1000000007) needs 1000000009 cotangent terms, more than the "
+        "budget of 100000; its exact value (r_exact) is 1",
+    )
 
 
 def test_output_is_deterministic():

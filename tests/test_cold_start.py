@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-# The public names of the package as of 0.2.0.
+# The public names of the package as of 0.2.0, plus r_exact.
 PUBLIC_NAMES = {
     "AllZeroCoefficients", "AssembledManifold", "BoundaryComponent", "BranchedCover",
     "BrieskornSphere", "ChainCheck", "CobordismLabel", "CobordismRecord",
@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
     "direct_sum", "double_cover_decomposition", "doubled_growth", "furuta_chain_check",
     "generate_family", "lens_cs_lower_bound", "moser_identify", "next_member",
     "parity_obstruction", "pattern_gluing_map", "pontryagin_number",
-    "post_surgery_gluing", "r_invariant", "reverse_orientation",
+    "post_surgery_gluing", "r_exact", "r_invariant", "reverse_orientation",
     "single_growth", "slope_from_filling",
     "smith_normal_form", "tau_brieskorn_family",
 }

@@ -1,19 +1,23 @@
 """Certified integrality of the instanton index cotangent sum."""
 
+import math
 import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotcert import (
     BrieskornSphere,
     IntegralityFailure,
     InvalidParams,
+    r_exact,
     r_invariant,
 )
 from knotcert import fs_invariant
 from knotcert.fs_invariant import _cotangent_sum
-from oracles import r_oracle, random_coprime_triple
+from oracles import cotangent_sum_reference, r_oracle, random_coprime_triple
 
 
 def test_sphere_stores_sorted_multiset():
@@ -59,8 +63,9 @@ def test_rvalue_invariant_residual_matches():
 
 
 def test_r_requires_positive_orientation():
-    with pytest.raises(InvalidParams):
-        r_invariant(BrieskornSphere(2, 3, 5, orientation=-1))
+    for evaluate in (r_invariant, r_exact):
+        with pytest.raises(InvalidParams):
+            evaluate(BrieskornSphere(2, 3, 5, orientation=-1))
 
 
 def test_r_matches_oracle_on_random_triples():
@@ -103,3 +108,77 @@ def test_integrality_failure_when_precision_capped(monkeypatch):
     monkeypatch.setattr(fs_invariant, "MAX_PRECISION_BITS", 128)
     with pytest.raises(IntegralityFailure):
         r_invariant(BrieskornSphere(2, 3, 7), precision_bits=128, tolerance=1e-45)
+
+
+def test_r_exact_is_one_on_the_surgery_family():
+    rng = random.Random(909)
+    for _ in range(200):
+        p, q = sorted(random_coprime_triple(rng, hi=40)[:2])
+        k = rng.choice((1, 2, 3, rng.randint(1, 10**6), rng.randint(1, 10**40)))
+        assert r_exact(BrieskornSphere(p, q, k * p * q - 1)) == 1
+
+
+def test_r_exact_matches_oracle_on_random_triples():
+    rng = random.Random(1010)
+    for _ in range(100):
+        a1, a2, a3 = random_coprime_triple(rng, hi=60)
+        _, oracle_rounded, _ = r_oracle(a1, a2, a3)
+        assert r_exact(BrieskornSphere(a1, a2, a3)) == oracle_rounded
+
+
+def test_r_invariant_rejects_a_sum_that_disagrees_with_r_exact(monkeypatch):
+    monkeypatch.setattr(fs_invariant, "r_exact", lambda s: 0)
+    with pytest.raises(IntegralityFailure, match=r"R\(2,3,7\) rounds to -1 at 128 bits"):
+        r_invariant(BrieskornSphere(2, 3, 7))
+
+
+def test_term_budget_is_checked_before_any_sum(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("the cotangent sum ran")
+
+    s = BrieskornSphere(2, 3, 7)  # 1 + 2 + 6 = 9 terms
+    monkeypatch.setattr(fs_invariant, "MAX_COTANGENT_TERMS", 8)
+    monkeypatch.setattr(fs_invariant, "_cotangent_sum", no_sum)
+    with pytest.raises(InvalidParams) as exc:
+        r_invariant(s)
+    assert str(exc.value) == (
+        "R(2,3,7) needs 9 cotangent terms, more than the budget of 8; its exact value (r_exact) is -1"
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(fs_invariant, "MAX_COTANGENT_TERMS", 9)
+    assert r_invariant(s).rounded == -1
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tolerance": 0.7}, "tolerance must lie in (0, 1/2), got 0.7"),
+        ({"tolerance": math.nan}, "tolerance must lie in (0, 1/2), got nan"),
+        ({"precision_bits": 0}, "precision must be >= 64 bits, got 0"),
+    ],
+    ids=["tolerance-0.7", "tolerance-nan", "precision-0"],
+)
+def test_r_invariant_validates_precision_and_tolerance(kwargs, message):
+    with pytest.raises(InvalidParams) as exc:
+        r_invariant(BrieskornSphere(2, 3, 7), **kwargs)
+    assert str(exc.value) == message
+
+
+# Composite multiplicities make gcd(k, a_i) > 1 for some k, the branch that
+# does not read the cotangent table.
+COMPOSITES = (4, 8, 9, 16, 25, 27, 32, 49, 6, 10, 15, 21, 35, 55)
+
+
+@st.composite
+def coprime_triples_with_a_composite(draw):
+    first = draw(st.sampled_from(COMPOSITES))
+    others = st.integers(2, 60).filter(lambda m: math.gcd(m, first) == 1)
+    second = draw(others)
+    third = draw(others.filter(lambda m: math.gcd(m, second) == 1))
+    return draw(st.permutations((first, second, third)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_triples_with_a_composite(), st.sampled_from((53, 128, 256, 700, 4096)))
+def test_cotangent_sum_is_bit_identical_to_the_reference(triple, bits):
+    assert _cotangent_sum(*triple, bits)._mpf_ == cotangent_sum_reference(*triple, bits)._mpf_
