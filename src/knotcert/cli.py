@@ -1,16 +1,14 @@
 """Command-line front end.
 
 Subcommands: r-invariant, tau, compactness, cover, cobordism, certify,
-generate, snf, definiteness.  Global flags --format/--precision/--tolerance
-may be given before or after the subcommand; the KNOTCERT_* env vars
-(KNOTCERT_PRECISION_BITS, KNOTCERT_TOLERANCE, KNOTCERT_FORMAT) supply
-defaults that explicit flags override.
+generate, snf, definiteness.  Global flags --format/--tolerance may be
+given before or after the subcommand.
 
-Output is deterministic: identical argv and config produce byte-identical
-output.  In JSON, every semantic integer is serialized as a decimal string
-so consumers with bounded integers never overflow; rationals are "p/q"
-strings.  Exit codes: 0 success (for certify: verdict Independent), 1 domain
-error or failed verdict, 2 usage error.
+Output is deterministic: identical argv produce byte-identical output.  In
+JSON, every semantic integer is serialized as a decimal string so consumers
+with bounded integers never overflow; rationals are "p/q" strings.  Exit
+codes: 0 success (for certify: verdict Independent), 1 domain error or failed
+verdict, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -33,32 +30,18 @@ from .errors import InvalidParams, KnotcertError
 if TYPE_CHECKING:
     from . import cobordisms, obstruction
 
-ENV_PREFIX = "KNOTCERT_"
 NUMERIC_DIGITS = 30  # significant digits when printing multiprecision values
 # cobordism prints its dense n x n form; larger records fail with
 # InvalidParams (exit 1) instead of printing n^2 entries.
 MAX_FORM_HANDLES = 1024
-# generate's cost grows quadratically in --count; larger counts fail likewise.
+# generate refuses larger counts likewise.  That bounds the rows, not the time:
+# with --fix-n each successor search restarts, and the product p*q it must
+# reach doubles every two members.
 MAX_GENERATE_COUNT = 1024
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class Config:
-    precision_bits: int = fs_invariant.DEFAULT_PRECISION_BITS
-    integrality_tolerance: float = fs_invariant.DEFAULT_TOLERANCE
-    output_format: str | None = None  # None: per-command default
-
-    def __post_init__(self) -> None:
-        try:
-            fs_invariant._validate_numeric(self.precision_bits, self.integrality_tolerance)
-        except InvalidParams as exc:
-            raise UsageError(str(exc)) from None
-        if self.output_format not in (None, "json", "csv", "text"):
-            raise UsageError(f"unknown format {self.output_format!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +85,7 @@ def _parse_matrix(text: str) -> list[list[int]]:
 
 def _parse_coefficients(text: str) -> list[int]:
     try:
-        return [int(p.strip()) for p in text.split(",") if p.strip()]
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad coefficient list {text!r}") from exc
 
@@ -156,27 +139,24 @@ def _render(fmt: str, payload: dict, text: str) -> str:
     return _dump(payload) if fmt == "json" else text
 
 
-def _pick_format(config: Config, default: str, allowed: tuple[str, ...]) -> str:
-    fmt = config.output_format or default
+def _pick_format(args, default: str, allowed: tuple[str, ...]) -> str:
+    fmt = getattr(args, "format", None) or default
     if fmt not in allowed:
         raise UsageError(f"format {fmt!r} not supported here (allowed: {', '.join(allowed)})")
     return fmt
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: (args, config) -> (exit code, output)
+# subcommand handlers: args -> (exit code, output)
 
 
-def _cmd_r_invariant(args, config: Config):
+def _cmd_r_invariant(args):
     import mpmath
 
-    fmt = _pick_format(config, "text", ("text", "json"))
+    fmt = _pick_format(args, "text", ("text", "json"))
     sphere = fs_invariant.BrieskornSphere(args.a1, args.a2, args.a3)
-    rv = fs_invariant.r_invariant(
-        sphere,
-        precision_bits=config.precision_bits,
-        tolerance=config.integrality_tolerance,
-    )
+    tolerance = getattr(args, "tolerance", fs_invariant.DEFAULT_TOLERANCE)
+    rv = fs_invariant.r_invariant(sphere, tolerance=tolerance)
     numeric = mpmath.nstr(rv.numeric, NUMERIC_DIGITS)
     residual = mpmath.nstr(rv.residual, 5)
     payload = {
@@ -197,19 +177,19 @@ def _cmd_r_invariant(args, config: Config):
     return 0, _render(fmt, payload, text)
 
 
-def _cmd_tau(args, config: Config):
+def _cmd_tau(args):
     from . import cs_invariants
 
-    fmt = _pick_format(config, "text", ("text", "json"))
+    fmt = _pick_format(args, "text", ("text", "json"))
     tau = cs_invariants.tau_brieskorn_family(args.p, args.q, args.k)
     payload = {"p": args.p, "q": args.q, "k": args.k, "tau": tau.value}
     return 0, _render(fmt, payload, str(tau.value))
 
 
-def _cmd_compactness(args, config: Config):
+def _cmd_compactness(args):
     from . import cs_invariants
 
-    fmt = _pick_format(config, "text", ("text", "json"))
+    fmt = _pick_format(args, "text", ("text", "json"))
     terminal = _parse_ints(args.terminal, 3, "--terminal")
     boundary = _parse_triples(args.boundary, "--boundary") if args.boundary else []
     report = cs_invariants.compactness_check(boundary, terminal)
@@ -222,10 +202,10 @@ def _cmd_compactness(args, config: Config):
     return 0, _render(fmt, payload, str(report))
 
 
-def _cmd_cover(args, config: Config):
+def _cmd_cover(args):
     from . import covers
 
-    fmt = _pick_format(config, "json", ("json", "text"))
+    fmt = _pick_format(args, "json", ("json", "text"))
     params = covers.SatelliteParams(args.n, args.p, args.q)
     dec = covers.double_cover_decomposition(params)
     payload = {
@@ -249,10 +229,10 @@ def _cmd_cover(args, config: Config):
     return 0, _render(fmt, payload, text)
 
 
-def _cmd_cobordism(args, config: Config):
+def _cmd_cobordism(args):
     from . import cobordisms, covers, exactmath
 
-    fmt = _pick_format(config, "json", ("json", "text"))
+    fmt = _pick_format(args, "json", ("json", "text"))
     params = covers.SatelliteParams(args.n, args.p, args.q)
     if args.kind == "Z":
         record = cobordisms.build_Z(params, crossings=args.crossings)
@@ -289,13 +269,13 @@ def _cmd_cobordism(args, config: Config):
     )
 
 
-def _cmd_certify(args, config: Config):
+def _cmd_certify(args):
     from . import covers, obstruction
 
-    fmt = _pick_format(config, "json", ("json", "text"))
+    fmt = _pick_format(args, "json", ("json", "text"))
     triples = _parse_triples(args.family, "--family")
     family = obstruction.Family(tuple(covers.SatelliteParams(*t) for t in triples))
-    coefficients = _parse_coefficients(args.coefficients) if args.coefficients else None
+    coefficients = None if args.coefficients is None else _parse_coefficients(args.coefficients)
     cert = obstruction.certify_family(family, coefficients)
     payload = {
         "family": [asdict(m) for m in cert.family.members],
@@ -315,12 +295,12 @@ def _cmd_certify(args, config: Config):
     return code, _render(fmt, payload, "\n".join(lines))
 
 
-def _cmd_generate(args, config: Config):
+def _cmd_generate(args):
     import csv
 
     from . import covers, obstruction
 
-    fmt = _pick_format(config, "csv", ("csv", "json", "text"))
+    fmt = _pick_format(args, "csv", ("csv", "json", "text"))
     n, p, q = _parse_ints(args.start, 3, "--start")
     start = covers.SatelliteParams(n, p, q)
     if args.count > MAX_GENERATE_COUNT:
@@ -346,10 +326,10 @@ def _cmd_generate(args, config: Config):
     return 0, buf.getvalue().rstrip("\n")
 
 
-def _cmd_snf(args, config: Config):
+def _cmd_snf(args):
     from . import exactmath
 
-    fmt = _pick_format(config, "text", ("text", "json"))
+    fmt = _pick_format(args, "text", ("text", "json"))
     result = exactmath.smith_normal_form(_parse_matrix(args.matrix))
     def rows_str(rows):
         return "[" + "; ".join(", ".join(str(v) for v in r) for r in rows) + "]"
@@ -363,10 +343,10 @@ def _cmd_snf(args, config: Config):
     return 0, _render(fmt, asdict(result), text)
 
 
-def _cmd_definiteness(args, config: Config):
+def _cmd_definiteness(args):
     from . import exactmath
 
-    fmt = _pick_format(config, "text", ("text", "json"))
+    fmt = _pick_format(args, "text", ("text", "json"))
     m = exactmath.SymIntMatrix.from_rows(_parse_matrix(args.matrix))
     result = exactmath.definiteness(m)
     return 0, _render(fmt, {"definiteness": result.value}, result.value)
@@ -379,7 +359,6 @@ def _cmd_definiteness(args, config: Config):
 def _global_flags() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
-    common.add_argument("--precision", type=int, metavar="BITS", default=argparse.SUPPRESS)
     common.add_argument("--tolerance", type=float, metavar="T", default=argparse.SUPPRESS)
     return common
 
@@ -425,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, metavar="n,p,q;n,p,q;...")
     p.add_argument(
         "--coefficients",
-        default="",
         metavar="c1,c2,...",
         help="combination to assemble; write --coefficients=-1,1 for negative values",
     )
@@ -446,30 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_definiteness)
 
     return parser
-
-
-def _env_value(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _config_from(args: argparse.Namespace) -> Config:
-    def pick(attr: str, env: str, cast, default):
-        value = getattr(args, attr, None)
-        if value is not None:
-            return value
-        raw = _env_value(env)
-        if raw is not None:
-            try:
-                return cast(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad {ENV_PREFIX}{env} value {raw!r}") from exc
-        return default
-
-    return Config(
-        precision_bits=pick("precision", "PRECISION_BITS", int, fs_invariant.DEFAULT_PRECISION_BITS),
-        integrality_tolerance=pick("tolerance", "TOLERANCE", float, fs_invariant.DEFAULT_TOLERANCE),
-        output_format=pick("format", "FORMAT", str, None),
-    )
 
 
 def _unknown_flag_before_command(exc: Exception, argv: list[str]) -> str | None:
@@ -502,8 +456,11 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
     if getattr(args, "handler", None) is None:
         return 2, "usage error: a subcommand is required (see --help)"
     try:
-        config = _config_from(args)
-        return args.handler(args, config)
+        fs_invariant._validate_tolerance(getattr(args, "tolerance", fs_invariant.DEFAULT_TOLERANCE))
+    except InvalidParams as exc:
+        return 2, f"usage error: {exc}"
+    try:
+        return args.handler(args)
     except UsageError as exc:
         return 2, f"usage error: {exc}"
     except KnotcertError as exc:

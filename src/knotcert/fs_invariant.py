@@ -151,14 +151,12 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
     return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))
 
 
-def _validate_numeric(precision_bits: int, tolerance: float) -> None:
-    """The rule for a working precision and an integrality tolerance.
+def _validate_tolerance(tolerance: float) -> None:
+    """The rule for an integrality tolerance.
 
     A tolerance of 1/2 or more would certify any value: every residual from
     the nearest integer is at most 1/2.
     """
-    if precision_bits < 64:
-        raise InvalidParams(f"precision must be >= 64 bits, got {precision_bits}")
     if not 0 < tolerance < 0.5:
         raise InvalidParams(f"tolerance must lie in (0, 1/2), got {tolerance}")
 
@@ -179,23 +177,20 @@ def r_exact(s: BrieskornSphere) -> int:
     return value
 
 
-def r_invariant(
-    s: BrieskornSphere,
-    precision_bits: int | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> RValue:
+def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RValue:
     """R of a positively oriented Brieskorn sphere, certified to be integral.
 
-    precision_bits (None: DEFAULT_PRECISION_BITS) and tolerance must satisfy
-    _validate_numeric; a sum of more than MAX_COTANGENT_TERMS terms is refused.
-    Both raise InvalidParams before any floating-point work.  Raises
-    IntegralityFailure if the residual still exceeds the tolerance at
-    MAX_PRECISION_BITS (which signals a precision problem or invalid input,
-    never a legitimately non-integral value), or if the rounded sum
-    disagrees with r_exact.
+    The tolerance (0 < tolerance < 1/2) is the requirement; the working
+    precision follows from it.  The sum starts at DEFAULT_PRECISION_BITS, or
+    more when the product a1*a2*a3 needs it, and doubles until the residual
+    clears the tolerance; RValue.precision_bits reports the bits used.  A bad
+    tolerance, and a sum of more than MAX_COTANGENT_TERMS terms, raise
+    InvalidParams before any floating-point work.  Raises IntegralityFailure
+    if the residual still exceeds the tolerance at MAX_PRECISION_BITS (which
+    signals a precision problem or invalid input, never a legitimately
+    non-integral value), or if the rounded sum disagrees with r_exact.
     """
-    bits = DEFAULT_PRECISION_BITS if precision_bits is None else precision_bits
-    _validate_numeric(bits, tolerance)
+    _validate_tolerance(tolerance)
     exact = r_exact(s)
     a1, a2, a3 = s.multiplicities
     terms = a1 + a2 + a3 - 3
@@ -208,7 +203,7 @@ def r_invariant(
 
     product = a1 * a2 * a3
     floor_bits = 50 + math.ceil(10 * math.log10(product))
-    bits = min(max(bits, floor_bits), MAX_PRECISION_BITS)
+    bits = min(max(DEFAULT_PRECISION_BITS, floor_bits), MAX_PRECISION_BITS)
     while True:
         value = _cotangent_sum(a1, a2, a3, bits)
         with mpmath.workprec(bits):

@@ -1,4 +1,4 @@
-"""CLI dispatch: formats, determinism, exit codes, env overrides."""
+"""CLI dispatch: formats, determinism, exit codes, usage errors."""
 
 import json
 import subprocess
@@ -44,34 +44,17 @@ def test_r_invariant_json_negative_value():
     assert json.loads(out)["rounded"] == "-1"
 
 
-def test_precision_flag_both_positions():
-    _, before = run("--precision", "256", "r-invariant", "2", "3", "5")
-    _, after = run("r-invariant", "2", "3", "5", "--precision", "256")
+def test_tolerance_flag_both_positions():
+    _, before = run("--tolerance", "1e-45", "r-invariant", "2", "3", "7")
+    _, after = run("r-invariant", "2", "3", "7", "--tolerance", "1e-45")
     assert before == after
     assert "precision_bits: 256" in after
-
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("KNOTCERT_PRECISION_BITS", "512")
-    _, out = run("r-invariant", "2", "3", "5")
-    assert "precision_bits: 512" in out
-    # explicit flag wins over the environment
-    _, out = run("r-invariant", "2", "3", "5", "--precision", "128")
-    assert "precision_bits: 128" in out
 
 
 def test_tolerance_flag_triggers_escalation():
     code, out = run("r-invariant", "2", "3", "7", "--tolerance", "1e-45")
     assert code == 0
     assert "precision_bits: 256" in out
-
-
-def test_bad_precision_is_usage_error():
-    code, out = run("r-invariant", "2", "3", "5", "--precision", "32")
-    assert code == 2
-    assert out == "usage error: precision must be >= 64 bits, got 32"
-    code, out = run("r-invariant", "2", "3", "5", "--tolerance", "0.7")
-    assert (code, out) == (2, "usage error: tolerance must lie in (0, 1/2), got 0.7")
 
 
 def test_r_invariant_over_the_term_budget_fails_fast_with_the_exact_value():
@@ -180,6 +163,15 @@ def test_certify_with_coefficients():
     assert doubled[0]["space"]["orientation"] == "1"
 
 
+def test_empty_coefficient_field_is_usage_error():
+    # An empty field once vanished: 1,,2 certified the combination 1,2.
+    for text in ("1,,2", ",1,2"):
+        code, out = run("certify", "--family", "2,2,3;2,2,5", "--coefficients", text)
+        assert (code, out) == (2, f"usage error: bad coefficient list {text!r}")
+    code, out = run("certify", "--family", "2,2,3;2,2,5", "--coefficients", "1,2,3")
+    assert (code, out) == (1, "InvalidParams: 3 coefficients for 2 members")
+
+
 def test_generate_csv():
     code, out = run("generate", "--start", "2,2,3", "--count", "3", "--fix-n", "2")
     assert code == 0
@@ -286,6 +278,20 @@ def test_seed_flag_is_a_usage_error():
     assert code == 2
     assert out.startswith("usage error:")
     assert "--seed" in out
+
+
+def test_bad_precision_is_usage_error():
+    # --precision was removed, so a value above the 4096-bit cap can no longer
+    # run silently at the cap: the working precision follows from --tolerance.
+    for argv in (
+        ["--precision", "10000", "r-invariant", "2", "3", "5"],
+        ["r-invariant", "2", "3", "5", "--precision", "10000"],
+    ):
+        code, out = run(*argv)
+        assert code == 2
+        assert out.startswith("usage error: unrecognized arguments: --precision")
+    code, out = run("r-invariant", "2", "3", "5", "--tolerance", "0.7")
+    assert (code, out) == (2, "usage error: tolerance must lie in (0, 1/2), got 0.7")
 
 
 def test_cobordism_refuses_forms_over_the_output_budget():

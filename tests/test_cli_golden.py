@@ -2,11 +2,12 @@
 
 tests/data/cli_golden.json holds, for about forty argv lines over all nine
 subcommands, the exit code and the exact stdout of `python -m knotcert`,
-recorded with no KNOTCERT_* variables set and COLUMNS=80 (argparse wraps
---help to the terminal width).  Most lines run through dispatch, which is
-what main prints; a few run as a real process, so the entry point, the
-trailing newline and the exit status are covered too.  An intended change of
-output means recording the file again.
+recorded with COLUMNS=80 (argparse wraps --help to the terminal width).  The
+CLI is configured by argv alone, so every line runs with hostile values of
+the KNOTCERT_* variables that knotcert 0.2.0 read.  Most lines run through
+dispatch, which is what main prints; a few run as a real process, so the
+entry point, the trailing newline and the exit status are covered too.  An
+intended change of output means recording the file again.
 """
 
 import json
@@ -26,16 +27,18 @@ AS_PROCESS = [
     ("tau", "2", "3"),
 ]
 BY_ARGV = {tuple(entry["argv"]): entry for entry in GOLDEN}
+# The KNOTCERT_* values would each change some golden line if the CLI still
+# read them.
+GOLDEN_ENV = {
+    "COLUMNS": "80",
+    "KNOTCERT_FORMAT": "csv",
+    "KNOTCERT_TOLERANCE": "0.9",
+    "KNOTCERT_PRECISION_BITS": "32",
+}
 SUBCOMMANDS = {
     "r-invariant", "tau", "compactness", "cover", "cobordism",
     "certify", "generate", "snf", "definiteness",
 }
-
-
-def _clean_env() -> dict[str, str]:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("KNOTCERT_")}
-    env["COLUMNS"] = "80"
-    return env
 
 
 def test_golden_list_covers_every_subcommand_and_exit_code():
@@ -47,9 +50,8 @@ def test_golden_list_covers_every_subcommand_and_exit_code():
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
 def test_dispatch_matches_golden(entry, monkeypatch):
-    for name in [k for k in os.environ if k.startswith("KNOTCERT_")]:
-        monkeypatch.delenv(name)
-    monkeypatch.setenv("COLUMNS", "80")
+    for name, value in GOLDEN_ENV.items():
+        monkeypatch.setenv(name, value)
     code, output = dispatch(list(entry["argv"]))
     assert code == entry["code"]
     assert (output + "\n" if output else "") == entry["stdout"]
@@ -73,7 +75,7 @@ def test_entry_point_matches_golden(argv):
         [sys.executable, "-m", "knotcert", *argv],
         capture_output=True,
         text=True,
-        env=_clean_env(),
+        env={**os.environ, **GOLDEN_ENV},
     )
     assert proc.returncode == entry["code"]
     assert proc.stdout == entry["stdout"]

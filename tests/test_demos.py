@@ -1,8 +1,7 @@
 """Exact stdout of every demo script.
 
-tests/data/demos_golden.json maps each demos/*.py file name to its stdout,
-recorded with no KNOTCERT_* variables set.  Each demo runs in a new
-interpreter with src on PYTHONPATH, as a user script would.  An intended
+tests/data/demos_golden.json maps each demos/*.py file name to its stdout.
+Each demo runs in a new interpreter with src on PYTHONPATH, as a user script would.  An intended
 change of output means recording the file again.
 """
 
@@ -25,8 +24,7 @@ def test_golden_names_every_demo():
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_matches_golden(name):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("KNOTCERT_")}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
         capture_output=True,

@@ -91,15 +91,14 @@ def test_r_rounded_value_stable_under_precision_doubling():
     rng = random.Random(808)
     for _ in range(50):
         a1, a2, a3 = random_coprime_triple(rng, hi=50)
-        s = BrieskornSphere(a1, a2, a3)
-        lo = r_invariant(s, precision_bits=128)
-        hi = r_invariant(s, precision_bits=256)
-        assert lo.rounded == hi.rounded
+        lo = _cotangent_sum(a1, a2, a3, 128)
+        hi = _cotangent_sum(a1, a2, a3, 256)
+        assert int(mpmath.nint(lo)) == int(mpmath.nint(hi)) == r_exact(BrieskornSphere(a1, a2, a3))
 
 
 def test_precision_escalates_until_tolerance_met():
     # A tolerance far below 128-bit resolution forces doubling.
-    rv = r_invariant(BrieskornSphere(2, 3, 7), precision_bits=128, tolerance=1e-45)
+    rv = r_invariant(BrieskornSphere(2, 3, 7), tolerance=1e-45)
     assert rv.precision_bits > 128
     assert rv.residual <= 1e-45
 
@@ -107,7 +106,7 @@ def test_precision_escalates_until_tolerance_met():
 def test_integrality_failure_when_precision_capped(monkeypatch):
     monkeypatch.setattr(fs_invariant, "MAX_PRECISION_BITS", 128)
     with pytest.raises(IntegralityFailure):
-        r_invariant(BrieskornSphere(2, 3, 7), precision_bits=128, tolerance=1e-45)
+        r_invariant(BrieskornSphere(2, 3, 7), tolerance=1e-45)
 
 
 def test_r_exact_is_one_on_the_surgery_family():
@@ -154,14 +153,19 @@ def test_term_budget_is_checked_before_any_sum(monkeypatch):
     [
         ({"tolerance": 0.7}, "tolerance must lie in (0, 1/2), got 0.7"),
         ({"tolerance": math.nan}, "tolerance must lie in (0, 1/2), got nan"),
-        ({"precision_bits": 0}, "precision must be >= 64 bits, got 0"),
     ],
-    ids=["tolerance-0.7", "tolerance-nan", "precision-0"],
+    ids=["tolerance-0.7", "tolerance-nan"],
 )
 def test_r_invariant_validates_precision_and_tolerance(kwargs, message):
     with pytest.raises(InvalidParams) as exc:
         r_invariant(BrieskornSphere(2, 3, 7), **kwargs)
     assert str(exc.value) == message
+
+
+def test_r_invariant_takes_no_precision():
+    # The working precision follows from the tolerance.
+    with pytest.raises(TypeError):
+        r_invariant(BrieskornSphere(2, 3, 7), precision_bits=256)
 
 
 # Composite multiplicities make gcd(k, a_i) > 1 for some k, the branch that
