@@ -48,7 +48,7 @@ print("assembling the obstruction manifold for the combination -1*(first) +1*(se
 assembled = assemble_X(pair, [-1, 1])
 for piece in assembled.boundary:
     print(f"  boundary: {piece}")
-print(f"  form dimension {sum(size for _, size in assembled.blocks)}, H1(.;Z/2) trivial: "
+print(f"  form dimension {assembled.rank}, H1(.;Z/2) trivial: "
       f"{assembled.h1_z2_trivial}")
 
 print()

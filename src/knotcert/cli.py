@@ -53,41 +53,24 @@ class _Parser(argparse.ArgumentParser):
 # argv parsing helpers
 
 
-def _parse_ints(text: str, expected: int, what: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != expected:
-        raise UsageError(f"{what} needs {expected} comma-separated integers, got {text!r}")
+def _ints(text: str, what: str, width: int | None = None) -> tuple[int, ...]:
+    """Comma-separated integers.  An empty or non-integer field, or a count
+    other than width, is a usage error."""
     try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"bad integer in {what}: {text!r}") from exc
+        values = tuple(int(field) for field in text.split(","))
+        if width is None or len(values) == width:
+            return values
+    except ValueError:
+        pass
+    raise UsageError(f"bad {what} {text!r}")
 
 
-def _parse_triples(text: str, what: str) -> list[tuple[int, int, int]]:
-    chunks = [c for c in (piece.strip() for piece in text.split(";")) if c]
-    return [_parse_ints(c, 3, what) for c in chunks]
-
-
-def _parse_matrix(text: str) -> list[list[int]]:
-    rows = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            rows.append([int(p.strip()) for p in chunk.split(",")])
-        except ValueError as exc:
-            raise UsageError(f"bad matrix row {chunk!r}") from exc
-    if not rows:
-        raise UsageError("empty matrix")
-    return rows
-
-
-def _parse_coefficients(text: str) -> list[int]:
+def _int_rows(text: str, what: str, width: int | None = None) -> list[tuple[int, ...]]:
+    """Rows of _ints separated by ';'; an empty row is a usage error too."""
     try:
-        return [int(p) for p in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad coefficient list {text!r}") from exc
+        return [_ints(row, what, width) for row in text.split(";")]
+    except UsageError:
+        raise UsageError(f"bad {what} {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +173,13 @@ def _cmd_compactness(args):
     from . import cs_invariants
 
     fmt = _pick_format(args, "text", ("text", "json"))
-    terminal = _parse_ints(args.terminal, 3, "--terminal")
-    boundary = _parse_triples(args.boundary, "--boundary") if args.boundary else []
+    terminal = _ints(args.terminal, "--terminal", 3)
+    boundary = _int_rows(args.boundary, "--boundary", 3) if args.boundary else []
     report = cs_invariants.compactness_check(boundary, terminal)
     payload = {
         "terminal": terminal,
         "boundary": boundary,
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [{**asdict(c), "ok": c.ok} for c in report.checks],
         "compact": report.ok,
     }
     return 0, _render(fmt, payload, str(report))
@@ -230,7 +213,8 @@ def _cmd_cover(args):
 
 
 def _cmd_cobordism(args):
-    from . import cobordisms, covers, exactmath
+    from . import cobordisms, covers
+    from .exactmath import Definiteness
 
     fmt = _pick_format(args, "json", ("json", "text"))
     params = covers.SatelliteParams(args.n, args.p, args.q)
@@ -246,7 +230,7 @@ def _cmd_cobordism(args):
             f"{MAX_FORM_HANDLES} handles"
         )
     form = record.form
-    defin = exactmath.sign_blocks_definiteness([record.sign])
+    defin = Definiteness.NEGATIVE_DEFINITE if record.sign < 0 else Definiteness.POSITIVE_DEFINITE
     payload = {
         "label": record.label.value,
         "params": asdict(params),
@@ -273,13 +257,13 @@ def _cmd_certify(args):
     from . import covers, obstruction
 
     fmt = _pick_format(args, "json", ("json", "text"))
-    triples = _parse_triples(args.family, "--family")
+    triples = _int_rows(args.family, "--family", 3)
     family = obstruction.Family(tuple(covers.SatelliteParams(*t) for t in triples))
-    coefficients = None if args.coefficients is None else _parse_coefficients(args.coefficients)
+    coefficients = None if args.coefficients is None else _ints(args.coefficients, "coefficient list")
     cert = obstruction.certify_family(family, coefficients)
     payload = {
         "family": [asdict(m) for m in cert.family.members],
-        "chain_checks": [asdict(c) for c in cert.chain_checks],
+        "chain_checks": [{**asdict(c), "ok": c.ok} for c in cert.chain_checks],
         "coefficients_tested": cert.coefficients_tested,
         "assembled_boundary": [_component(b) for b in cert.assembled_boundary],
         "total_form_definiteness": cert.total_form_definiteness.value,
@@ -301,7 +285,7 @@ def _cmd_generate(args):
     from . import covers, obstruction
 
     fmt = _pick_format(args, "csv", ("csv", "json", "text"))
-    n, p, q = _parse_ints(args.start, 3, "--start")
+    n, p, q = _ints(args.start, "--start", 3)
     start = covers.SatelliteParams(n, p, q)
     if args.count > MAX_GENERATE_COUNT:
         raise InvalidParams(f"count {args.count} exceeds the budget of {MAX_GENERATE_COUNT} members")
@@ -330,7 +314,7 @@ def _cmd_snf(args):
     from . import exactmath
 
     fmt = _pick_format(args, "text", ("text", "json"))
-    result = exactmath.smith_normal_form(_parse_matrix(args.matrix))
+    result = exactmath.smith_normal_form(_int_rows(args.matrix, "matrix"))
     def rows_str(rows):
         return "[" + "; ".join(", ".join(str(v) for v in r) for r in rows) + "]"
     text = "\n".join(
@@ -347,7 +331,7 @@ def _cmd_definiteness(args):
     from . import exactmath
 
     fmt = _pick_format(args, "text", ("text", "json"))
-    m = exactmath.SymIntMatrix.from_rows(_parse_matrix(args.matrix))
+    m = exactmath.SymIntMatrix.from_rows(_int_rows(args.matrix, "matrix"))
     result = exactmath.definiteness(m)
     return 0, _render(fmt, {"definiteness": result.value}, result.value)
 

@@ -101,12 +101,15 @@ def lens_cs_lower_bound(p: int, q: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class CompactnessCheck:
-    """One strict comparison in the compactness report."""
+    """One strict comparison lhs < rhs in the compactness report."""
 
     label: str
     lhs: Fraction
     rhs: Fraction
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs < self.rhs
 
     def __str__(self) -> str:
         rel = "<" if self.ok else "!<"
@@ -117,8 +120,11 @@ class CompactnessCheck:
 class CompactnessReport:
     """Outcome of the bubbling/breaking exclusion test; truthy iff compact."""
 
-    ok: bool
     checks: tuple[CompactnessCheck, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.checks)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -143,13 +149,13 @@ def compactness_check(
     p1 = pontryagin_number(pN, qN, kN)
     lens = lens_cs_lower_bound(pN, qN, kN)
     checks = [
-        CompactnessCheck("p1 < 4 (no bubbling)", p1, Fraction(4), p1 < 4),
-        CompactnessCheck(f"p1 < lens bound({pN},{qN},{kN})", p1, lens, p1 < lens),
+        CompactnessCheck("p1 < 4 (no bubbling)", p1, Fraction(4)),
+        CompactnessCheck(f"p1 < lens bound({pN},{qN},{kN})", p1, lens),
     ]
     for p, q, k in boundary:
         tau = tau_brieskorn_family(p, q, k).value
-        checks.append(CompactnessCheck(f"p1 < tau({p},{q},{k})", p1, tau, p1 < tau))
-    return CompactnessReport(ok=all(c.ok for c in checks), checks=tuple(checks))
+        checks.append(CompactnessCheck(f"p1 < tau({p},{q},{k})", p1, tau))
+    return CompactnessReport(tuple(checks))
 
 
 def count_reducibles(h: H1Data) -> Fraction:

@@ -270,17 +270,6 @@ def definiteness(m: SymIntMatrix) -> Definiteness:
     return Definiteness.POSITIVE_DEFINITE if neg == 0 else Definiteness.NEGATIVE_DEFINITE
 
 
-def sign_blocks_definiteness(signs: Iterable[int]) -> Definiteness:
-    """Class of a direct sum of nonempty blocks sign * I from the signs alone:
-    all +1 PositiveDefinite, all -1 NegativeDefinite, a mix Indefinite."""
-    present = set(signs)
-    if not present or not present <= {1, -1}:
-        raise InvalidParams(f"need one or more block signs +1/-1, got {sorted(present)}")
-    if len(present) == 2:
-        return Definiteness.INDEFINITE
-    return Definiteness.POSITIVE_DEFINITE if 1 in present else Definiteness.NEGATIVE_DEFINITE
-
-
 def direct_sum(ms: Iterable[SymIntMatrix]) -> SymIntMatrix:
     """Block-diagonal sum; the empty sum is the 0-dimensional matrix."""
     blocks = list(ms)

@@ -11,9 +11,11 @@ trivial Z/2 first homology, so the Furuta-type growth criterion
 
 on consecutive members rules X out and certifies the family independent in
 the smooth concordance group.  The criterion is the only hypothesis checked
-at runtime; the rest of the contradiction template is parameter-uniform and
-encoded in the assembled record itself, whose form is carried as
-(sign, size) blocks and materialised only on request.
+at runtime; the rest of the contradiction template is parameter-uniform.
+Every piece of X is negative definite by construction, so its form is -I
+of the summed handle count, carried as that rank and materialised only on
+request, and its class is a constant.  Each pass/fail summary in a
+certificate is a property of the exact integers it summarises.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .cobordisms import (
 from .covers import SatelliteParams
 from .cs_invariants import _growth, _validate_triple, _validate_twist
 from .errors import AllZeroCoefficients, InvalidParams
-from .exactmath import Definiteness, SymIntMatrix, sign_blocks_definiteness
+from .exactmath import Definiteness, SymIntMatrix
 
 
 @dataclass(frozen=True)
@@ -57,18 +59,26 @@ class Family:
 
 @dataclass(frozen=True)
 class ChainCheck:
-    """One consecutive-pair inequality, with exact integer sides."""
+    """One consecutive-pair inequality lhs < rhs, with exact integer sides."""
 
     index: int  # 1-based pair index: members[index-1] vs members[index]
     lhs: int
     rhs: int
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs < self.rhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Verdict:
-    independent: bool
+    """Independent, or the first consecutive pair whose inequality fails."""
+
     failing_index: int | None = None
+
+    @property
+    def independent(self) -> bool:
+        return self.failing_index is None
 
     def __str__(self) -> str:
         return "Independent" if self.independent else f"CriterionFails({self.failing_index})"
@@ -76,19 +86,19 @@ class Verdict:
 
 @dataclass(frozen=True)
 class AssembledManifold:
-    """Boundary and intersection-form data of the closed-up manifold X; the
-    form is the direct sum of sign * I_size over blocks, in order.  X is
-    glued from Z/R/P pieces with trivial H_1, so h1_z2_trivial is constant."""
+    """Boundary and intersection-form data of the closed-up manifold X.  Every
+    Z/R/P piece is -I (Z and R as built, P reversed), so the form is -I_rank.
+    The pieces have trivial H_1, so h1_z2_trivial is constant."""
 
     boundary: tuple[BoundaryComponent, ...]
-    blocks: tuple[tuple[int, int], ...]
+    rank: int
     normalization_note: str | None = None
     h1_z2_trivial: ClassVar[bool] = True
 
     @property
     def form(self) -> SymIntMatrix:
-        """The block-diagonal form as a dense matrix, built on each access."""
-        return SymIntMatrix.diagonal([sign for sign, size in self.blocks for _ in range(size)])
+        """-I_rank as a dense matrix, built on each access."""
+        return SymIntMatrix.identity(self.rank, scale=-1)
 
 
 @dataclass(frozen=True)
@@ -97,9 +107,12 @@ class IndependenceCertificate:
     chain_checks: tuple[ChainCheck, ...]
     coefficients_tested: tuple[int, ...] | None
     assembled_boundary: tuple[BoundaryComponent, ...]
-    total_form_definiteness: Definiteness
-    verdict: Verdict
+    total_form_definiteness: ClassVar[Definiteness] = Definiteness.NEGATIVE_DEFINITE
     h1_z2_trivial: ClassVar[bool] = True
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict(failing_index=next((c.index for c in self.chain_checks if not c.ok), None))
 
 
 def doubled_growth(m: SatelliteParams) -> int:
@@ -133,8 +146,8 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
     normalization note.  The form is the direct sum of the Z block, one R
     block per unit of positive coefficient, and one reversed-P block per
     unit of negative coefficient, each -I, so X is negative definite by
-    construction; one member's copies are carried as one (sign, size) block.
-    Each unit of negative coefficient contributes two copies of
+    construction and its rank is the sum of the handle counts.  Each unit
+    of negative coefficient contributes two copies of
     +Sigma(p, q, 2n*p*q - 1) to the boundary.
     """
     cs = [int(c) for c in coefficients]
@@ -156,19 +169,19 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
         )
 
     z = build_Z(members[-1])
-    blocks = [(z.sign, z.handle_count)]
+    rank = z.handle_count
     boundary = list(z.outgoing)
     for member, c in zip(members, cs):
         if c == 0:
             continue
         # R has no outgoing boundary, so only reversed P adds pieces here.
         record = build_R(member) if c > 0 else reverse_orientation(build_P(member))
-        blocks.append((record.sign, record.handle_count * abs(c)))
+        rank += record.handle_count * abs(c)
         boundary.extend(BoundaryComponent(b.space, b.multiplicity * abs(c)) for b in record.outgoing)
 
     return AssembledManifold(
         boundary=tuple(boundary),
-        blocks=tuple(blocks),
+        rank=rank,
         normalization_note="; ".join(notes) if notes else None,
     )
 
@@ -185,22 +198,17 @@ def certify_family(
     that combination is assembled (and recorded) instead.
     """
     members = f.members
-    checks = []
-    for i in range(len(members) - 1):
-        lhs, rhs = doubled_growth(members[i]), single_growth(members[i + 1])
-        checks.append(ChainCheck(index=i + 1, lhs=lhs, rhs=rhs, ok=lhs < rhs))
-    failing = next((c.index for c in checks if not c.ok), None)
-
+    checks = tuple(
+        ChainCheck(i + 1, doubled_growth(members[i]), single_growth(members[i + 1]))
+        for i in range(len(members) - 1)
+    )
     tested = None if coefficients is None else tuple(int(c) for c in coefficients)
     assembled = assemble_X(f, [1] * len(members) if tested is None else tested)
-
     return IndependenceCertificate(
         family=f,
-        chain_checks=tuple(checks),
+        chain_checks=checks,
         coefficients_tested=tested,
         assembled_boundary=assembled.boundary,
-        total_form_definiteness=sign_blocks_definiteness(s for s, _ in assembled.blocks),
-        verdict=Verdict(failing is None, failing),
     )
 
 

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,21 @@ def test_empty_coefficient_field_is_usage_error():
         assert (code, out) == (2, f"usage error: bad coefficient list {text!r}")
     code, out = run("certify", "--family", "2,2,3;2,2,5", "--coefficients", "1,2,3")
     assert (code, out) == (1, "InvalidParams: 3 coefficients for 2 members")
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["certify", "--family", "2,2,3;;2,2,5"], "--family"),
+        (["snf", "1,2;;3,4"], "matrix"),
+        (["definiteness", "1,0;;0,1"], "matrix"),
+        (["compactness", "--terminal", "2,5,2", "--boundary", "2,3,1;"], "--boundary"),
+        (["certify", "--family", ";"], "--family"),
+    ],
+)
+def test_empty_row_is_usage_error(argv, what):
+    # Empty rows were once dropped: the first argv certified two members.
+    assert run(*argv) == (2, f"usage error: bad {what} {argv[-1]!r}")
 
 
 def test_generate_csv():

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from knotcert import (
+    CompactnessCheck,
+    CompactnessReport,
     H1Data,
     InvalidParams,
     NonIntegerCount,
@@ -79,6 +81,15 @@ def test_compactness_report_lists_every_comparison():
     assert all(c.ok for c in report.checks)
     failing = compactness_check([(2, 5, 2)], (2, 3, 1))
     assert [c.ok for c in failing.checks] == [True, True, False]
+
+
+def test_compactness_check_with_equal_sides_is_not_ok():
+    check = CompactnessCheck("p1 < 4 (no bubbling)", Fraction(4), Fraction(4))
+    assert not check.ok
+    assert str(check) == "p1 < 4 (no bubbling): 4 !< 4"
+    report = CompactnessReport((CompactnessCheck("a", Fraction(1), Fraction(2)), check))
+    assert not report.ok and not report
+    assert CompactnessReport(()).ok
 
 
 def test_compactness_monotone_under_boundary_removal():

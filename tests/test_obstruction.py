@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from knotcert import (
     AllZeroCoefficients,
     BrieskornSphere,
+    ChainCheck,
     Definiteness,
     Family,
+    IndependenceCertificate,
     InvalidParams,
     SatelliteParams,
     SymIntMatrix,
+    Verdict,
     assemble_X,
     certify_family,
     compactness_check,
@@ -75,6 +78,32 @@ def test_certify_verdict_iff_all_checks_ok():
         members = [(2 * rng.randint(1, 4), *_coprime(rng)) for _ in range(rng.randint(1, 5))]
         cert = certify_family(fam(*members))
         assert cert.verdict.independent == all(c.ok for c in cert.chain_checks)
+
+
+def test_chain_check_ok_is_read_from_its_sides():
+    assert ChainCheck(1, 5, 3).ok is False
+    assert ChainCheck(1, 3, 5).ok is True
+    assert ChainCheck(1, 5, 5).ok is False  # the inequality is strict
+
+
+def test_verdict_is_keyword_only():
+    assert Verdict().independent and str(Verdict()) == "Independent"
+    assert str(Verdict(failing_index=2)) == "CriterionFails(2)"
+    # The former spelling Verdict(True) would otherwise mean failing_index=True.
+    with pytest.raises(TypeError):
+        Verdict(True)
+
+
+def test_hand_built_certificate_derives_its_verdict_from_the_checks():
+    cert = IndependenceCertificate(
+        family=fam((2, 2, 3), (2, 2, 5), (2, 3, 5)),
+        chain_checks=(ChainCheck(1, 138, 190), ChainCheck(2, 435, 390)),
+        coefficients_tested=None,
+        assembled_boundary=(),
+    )
+    assert cert.verdict == Verdict(failing_index=2)
+    assert str(cert.verdict) == "CriterionFails(2)"
+    assert cert.total_form_definiteness is Definiteness.NEGATIVE_DEFINITE
 
 
 def _coprime(rng):

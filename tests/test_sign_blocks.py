@@ -1,22 +1,21 @@
-"""Intersection forms carried as (sign, size) blocks, against the dense path.
+"""Intersection forms carried as sign and size, against the dense path.
 
-Cobordism records and the assembled manifold X hold their forms as blocks
-sign * I_size and classify them from the signs.  These tests materialise
-the dense matrices and compare with exactmath.definiteness on them.
+A cobordism record holds its form as sign * I_handle_count, and the
+assembled manifold X holds its form -I_rank as that rank, with the class a
+constant of the certificate.  These tests materialise the dense matrices
+and compare with exactmath.definiteness on them.
 """
 
 import itertools
 import time
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotcert import (
     Definiteness,
     Family,
-    InvalidParams,
     SatelliteParams,
     SymIntMatrix,
     assemble_X,
@@ -26,11 +25,9 @@ from knotcert import (
     certify_family,
     default_crossing_count,
     definiteness,
-    direct_sum,
     generate_family,
     reverse_orientation,
 )
-from knotcert.exactmath import sign_blocks_definiteness
 
 SETTINGS = settings(max_examples=40, deadline=None)
 PAIRS = [(p, q) for p, q in itertools.permutations(range(2, 8), 2) if gcd(p, q) == 1]
@@ -55,22 +52,9 @@ def test_record_form_is_its_sign_times_identity(s, label, crossings, reverse):
     assert record.sign == sign
     assert record.handle_count == (crossings if label == "Z" else s.n)
     assert record.form == SymIntMatrix.identity(record.handle_count, sign)
-    assert sign_blocks_definiteness([record.sign]) is definiteness(record.form)
+    expected = Definiteness.NEGATIVE_DEFINITE if sign < 0 else Definiteness.POSITIVE_DEFINITE
+    assert definiteness(record.form) is expected
     assert reverse_orientation(reverse_orientation(record)) == record
-
-
-@SETTINGS
-@given(st.lists(st.tuples(st.sampled_from([1, -1]), st.integers(1, 4)), min_size=1, max_size=5))
-def test_sign_classification_matches_dense_definiteness(blocks):
-    dense = direct_sum(SymIntMatrix.identity(size, sign) for sign, size in blocks)
-    assert sign_blocks_definiteness(sign for sign, _ in blocks) is definiteness(dense)
-
-
-def test_sign_classification_rejects_empty_and_non_unit_signs():
-    with pytest.raises(InvalidParams):
-        sign_blocks_definiteness([])
-    with pytest.raises(InvalidParams):
-        sign_blocks_definiteness([-1, 0])
 
 
 @st.composite
@@ -93,7 +77,7 @@ def test_assembled_blocks_match_the_dense_form(combination):
     )
     family = Family(tuple(members))
     assembled = assemble_X(family, cs)
-    assert sum(size for _, size in assembled.blocks) == expected
+    assert assembled.rank == expected
     form = assembled.form
     assert form == SymIntMatrix.identity(expected, scale=-1)
     assert certify_family(family, cs).total_form_definiteness is definiteness(form)
@@ -108,6 +92,6 @@ def test_thousand_member_free_n_chain_certifies_in_under_a_second():
     assert cert.total_form_definiteness is Definiteness.NEGATIVE_DEFINITE
     assert elapsed < 1.0
     last = family.members[-1]
-    dimension = sum(size for _, size in assemble_X(family, [1] * len(family)).blocks)
+    dimension = assemble_X(family, [1] * len(family)).rank
     assert dimension == default_crossing_count(last.p, last.q) + sum(m.n for m in family.members)
     assert dimension.bit_length() > 1000  # far beyond any dense form
