@@ -118,25 +118,16 @@ def _dump(obj: dict) -> str:
     return json.dumps(_schema(obj), sort_keys=True, indent=2)
 
 
-def _render(fmt: str, payload: dict, text: str) -> str:
-    return _dump(payload) if fmt == "json" else text
-
-
-def _pick_format(args, default: str, allowed: tuple[str, ...]) -> str:
-    fmt = getattr(args, "format", None) or default
-    if fmt not in allowed:
-        raise UsageError(f"format {fmt!r} not supported here (allowed: {', '.join(allowed)})")
-    return fmt
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: args -> (exit code, output)
+# subcommand handlers: args -> (exit code, payload, text).  The payload is
+# what --format json prints; text is a zero-argument callable that renders
+# every other format, so it runs only when asked for.  Each subparser lists
+# its formats, default first, and dispatch alone picks and renders one.
 
 
 def _cmd_r_invariant(args):
     import mpmath
 
-    fmt = _pick_format(args, "text", ("text", "json"))
     sphere = fs_invariant.BrieskornSphere(args.a1, args.a2, args.a3)
     tolerance = getattr(args, "tolerance", fs_invariant.DEFAULT_TOLERANCE)
     rv = fs_invariant.r_invariant(sphere, tolerance=tolerance)
@@ -149,7 +140,7 @@ def _cmd_r_invariant(args):
         "residual": residual,
         "precision_bits": rv.precision_bits,
     }
-    text = "\n".join(
+    return 0, payload, lambda: "\n".join(
         [
             f"numeric: {numeric}",
             f"rounded: {rv.rounded}",
@@ -157,22 +148,19 @@ def _cmd_r_invariant(args):
             f"precision_bits: {rv.precision_bits}",
         ]
     )
-    return 0, _render(fmt, payload, text)
 
 
 def _cmd_tau(args):
     from . import cs_invariants
 
-    fmt = _pick_format(args, "text", ("text", "json"))
     tau = cs_invariants.tau_brieskorn_family(args.p, args.q, args.k)
     payload = {"p": args.p, "q": args.q, "k": args.k, "tau": tau.value}
-    return 0, _render(fmt, payload, str(tau.value))
+    return 0, payload, lambda: str(tau.value)
 
 
 def _cmd_compactness(args):
     from . import cs_invariants
 
-    fmt = _pick_format(args, "text", ("text", "json"))
     terminal = _ints(args.terminal, "--terminal", 3)
     boundary = _int_rows(args.boundary, "--boundary", 3) if args.boundary else []
     report = cs_invariants.compactness_check(boundary, terminal)
@@ -182,13 +170,12 @@ def _cmd_compactness(args):
         "checks": [{**asdict(c), "ok": c.ok} for c in report.checks],
         "compact": report.ok,
     }
-    return 0, _render(fmt, payload, str(report))
+    return 0, payload, lambda: str(report)
 
 
 def _cmd_cover(args):
     from . import covers
 
-    fmt = _pick_format(args, "json", ("json", "text"))
     params = covers.SatelliteParams(args.n, args.p, args.q)
     dec = covers.double_cover_decomposition(params)
     payload = {
@@ -200,7 +187,7 @@ def _cmd_cover(args):
         "companion_copies": dec.companion_copies,
         "gluings": [g.matrix for g in dec.gluings],
     }
-    text = "\n".join(
+    return 0, payload, lambda: "\n".join(
         [
             f"cover of {params}",
             f"exterior link: T{dec.exterior_link.link_parameters} with components "
@@ -209,15 +196,15 @@ def _cmd_cover(args):
             *(f"gluing {i + 1}: {g.matrix}" for i, g in enumerate(dec.gluings)),
         ]
     )
-    return 0, _render(fmt, payload, text)
 
 
 def _cmd_cobordism(args):
     from . import cobordisms, covers
     from .exactmath import Definiteness
 
-    fmt = _pick_format(args, "json", ("json", "text"))
     params = covers.SatelliteParams(args.n, args.p, args.q)
+    if args.crossings is not None and args.kind != "Z":
+        raise UsageError("--crossings applies to Z only")
     if args.kind == "Z":
         record = cobordisms.build_Z(params, crossings=args.crossings)
     elif args.kind == "R":
@@ -241,9 +228,7 @@ def _cmd_cobordism(args):
         "h1_z2_trivial": record.h1_z2_trivial,
         "handle_count": record.handle_count,
     }
-    if fmt == "json":
-        return 0, _dump(payload)
-    return 0, "\n".join(
+    return 0, payload, lambda: "\n".join(
         [
             f"{record}: {record.incoming} -> "
             + (", ".join(str(b) for b in record.outgoing) if record.outgoing else "(empty)"),
@@ -256,7 +241,6 @@ def _cmd_cobordism(args):
 def _cmd_certify(args):
     from . import covers, obstruction
 
-    fmt = _pick_format(args, "json", ("json", "text"))
     triples = _int_rows(args.family, "--family", 3)
     family = obstruction.Family(tuple(covers.SatelliteParams(*t) for t in triples))
     coefficients = None if args.coefficients is None else _ints(args.coefficients, "coefficient list")
@@ -270,13 +254,14 @@ def _cmd_certify(args):
         "h1_z2_trivial": cert.h1_z2_trivial,
         "verdict": _verdict(cert.verdict),
     }
-    lines = [f"family: {cert.family}"]
-    for c in cert.chain_checks:
-        rel = "<" if c.ok else "!<"
-        lines.append(f"pair {c.index}: {c.lhs} {rel} {c.rhs}")
-    lines.append(f"verdict: {cert.verdict}")
     code = 0 if cert.verdict.independent else 1
-    return code, _render(fmt, payload, "\n".join(lines))
+    return code, payload, lambda: "\n".join(
+        [
+            f"family: {cert.family}",
+            *(f"pair {c.index}: {c.lhs} {'<' if c.ok else '!<'} {c.rhs}" for c in cert.chain_checks),
+            f"verdict: {cert.verdict}",
+        ]
+    )
 
 
 def _cmd_generate(args):
@@ -284,7 +269,6 @@ def _cmd_generate(args):
 
     from . import covers, obstruction
 
-    fmt = _pick_format(args, "csv", ("csv", "json", "text"))
     n, p, q = _ints(args.start, "--start", 3)
     start = covers.SatelliteParams(n, p, q)
     if args.count > MAX_GENERATE_COUNT:
@@ -301,39 +285,40 @@ def _cmd_generate(args):
         }
         for i, m in enumerate(family.members)
     ]
-    if fmt == "json":
-        return 0, _dump({"rows": rows})
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, ["index", "n", "p", "q", "lhs", "rhs"], lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return 0, buf.getvalue().rstrip("\n")
+
+    def text():
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, ["index", "n", "p", "q", "lhs", "rhs"], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue().rstrip("\n")
+
+    return 0, {"rows": rows}, text
 
 
 def _cmd_snf(args):
     from . import exactmath
 
-    fmt = _pick_format(args, "text", ("text", "json"))
     result = exactmath.smith_normal_form(_int_rows(args.matrix, "matrix"))
+
     def rows_str(rows):
         return "[" + "; ".join(", ".join(str(v) for v in r) for r in rows) + "]"
-    text = "\n".join(
+
+    return 0, asdict(result), lambda: "\n".join(
         [
             "diagonal: " + ", ".join(str(v) for v in result.diagonal),
             "left: " + rows_str(result.left),
             "right: " + rows_str(result.right),
         ]
     )
-    return 0, _render(fmt, asdict(result), text)
 
 
 def _cmd_definiteness(args):
     from . import exactmath
 
-    fmt = _pick_format(args, "text", ("text", "json"))
     m = exactmath.SymIntMatrix.from_rows(_int_rows(args.matrix, "matrix"))
     result = exactmath.definiteness(m)
-    return 0, _render(fmt, {"definiteness": result.value}, result.value)
+    return 0, {"definiteness": result.value}, lambda: result.value
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +342,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a1", type=int)
     p.add_argument("a2", type=int)
     p.add_argument("a3", type=int)
-    p.set_defaults(handler=_cmd_r_invariant)
+    p.set_defaults(handler=_cmd_r_invariant, formats=("text", "json"))
 
     p = sub.add_parser("tau", parents=[common], help="minimal Chern-Simons value of Sigma(p,q,k*p*q-1)")
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_tau)
+    p.set_defaults(handler=_cmd_tau, formats=("text", "json"))
 
     p = sub.add_parser("compactness", parents=[common], help="moduli compactness test")
     p.add_argument("--terminal", required=True, metavar="p,q,k")
     p.add_argument("--boundary", default="", metavar="p,q,k[;p,q,k...]")
-    p.set_defaults(handler=_cmd_compactness)
+    p.set_defaults(handler=_cmd_compactness, formats=("text", "json"))
 
     p = sub.add_parser("cover", parents=[common], help="double branched cover decomposition")
     p.add_argument("n", type=int)
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    p.set_defaults(handler=_cmd_cover)
+    p.set_defaults(handler=_cmd_cover, formats=("json", "text"))
 
     p = sub.add_parser("cobordism", parents=[common], help="build a Z/R/P cobordism record")
     p.add_argument("kind", choices=("Z", "R", "P"))
@@ -382,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--crossings", type=int, default=None, metavar="c")
-    p.set_defaults(handler=_cmd_cobordism)
+    p.set_defaults(handler=_cmd_cobordism, formats=("json", "text"))
 
     p = sub.add_parser("certify", parents=[common], help="independence certificate for a family")
     p.add_argument("--family", required=True, metavar="n,p,q;n,p,q;...")
@@ -391,21 +376,21 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="c1,c2,...",
         help="combination to assemble; write --coefficients=-1,1 for negative values",
     )
-    p.set_defaults(handler=_cmd_certify)
+    p.set_defaults(handler=_cmd_certify, formats=("json", "text"))
 
     p = sub.add_parser("generate", parents=[common], help="extend a family through the growth criterion")
     p.add_argument("--start", required=True, metavar="n,p,q")
     p.add_argument("--count", type=int, required=True, metavar="K")
     p.add_argument("--fix-n", type=int, default=None, dest="fix_n", metavar="N")
-    p.set_defaults(handler=_cmd_generate)
+    p.set_defaults(handler=_cmd_generate, formats=("csv", "json", "text"))
 
     p = sub.add_parser("snf", parents=[common], help="Smith normal form with transforms")
     p.add_argument("matrix", metavar="ROWS", help="e.g. \"2,0;0,3\"")
-    p.set_defaults(handler=_cmd_snf)
+    p.set_defaults(handler=_cmd_snf, formats=("text", "json"))
 
     p = sub.add_parser("definiteness", parents=[common], help="sign type of a symmetric form")
     p.add_argument("matrix", metavar="ROWS", help="e.g. \"2,1;1,2\"")
-    p.set_defaults(handler=_cmd_definiteness)
+    p.set_defaults(handler=_cmd_definiteness, formats=("text", "json"))
 
     return parser
 
@@ -443,8 +428,12 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         fs_invariant._validate_tolerance(getattr(args, "tolerance", fs_invariant.DEFAULT_TOLERANCE))
     except InvalidParams as exc:
         return 2, f"usage error: {exc}"
+    fmt = getattr(args, "format", None) or args.formats[0]
+    if fmt not in args.formats:
+        return 2, f"usage error: format {fmt!r} not supported here (allowed: {', '.join(args.formats)})"
     try:
-        return args.handler(args)
+        code, payload, text = args.handler(args)
+        return code, _dump(payload) if fmt == "json" else text()
     except UsageError as exc:
         return 2, f"usage error: {exc}"
     except KnotcertError as exc:

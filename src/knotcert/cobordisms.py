@@ -14,12 +14,14 @@ intersection form, and homology flags.  With Sigma = Sigma_2(D_n(T_{p,q})):
 All three have trivial integral first homology.  The records are certified
 summaries, not handle-by-handle 4-manifold structures: downstream consumers
 need only boundaries, forms (carried as sign and size, materialised only
-on request), and flags.
+on request), and flags.  A record is its label, parameters, handle count
+and orientation; both boundaries and the form's sign follow from those, so
+a reversed record cannot keep the boundary of the one it reverses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar, Union
 
@@ -29,8 +31,8 @@ from .covers import (
     BranchedCover,
     SatelliteParams,
     ThreeSphere,
-    double_cover_decomposition,
     moser_identify,
+    pattern_gluing_map,
     post_surgery_gluing,
     slope_from_filling,
 )
@@ -74,24 +76,52 @@ class BoundaryComponent:
 class CobordismRecord:
     """Certified summary of one Z/R/P construction.
 
-    orientation is +1 for the cobordism as built and -1 for its reversal.
-    The intersection form is sign * I_handle_count, carried as that sign and
-    size; form materialises the dense matrix on each access.  Z, R and P all
-    have trivial first homology, so h1_z2_trivial is a class constant.
+    orientation is +1 for the cobordism as built and -1 for its reversal, and
+    it fixes both boundaries: incoming is the cover with that orientation, and
+    outgoing, derived at construction from the label's filling, has every
+    component reversed when orientation is -1.  So replace(record,
+    orientation=-1) is the reversal.  R and P attach n handles; Z attaches
+    one per crossing change, at least one.  The intersection form is
+    sign * I_handle_count, carried as that sign and size; form materialises
+    the dense matrix on each access.  Z, R and P all have trivial first
+    homology, so h1_z2_trivial is a class constant.
     """
 
     label: CobordismLabel
     params: SatelliteParams
-    incoming: BoundaryComponent
-    outgoing: tuple[BoundaryComponent, ...]
     handle_count: int
     orientation: int = 1
+    outgoing: tuple[BoundaryComponent, ...] = field(init=False)
     h1_z2_trivial: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        if self.handle_count < 1:
-            raise InvalidParams(f"handle count must be >= 1, got {self.handle_count}")
         _validate_sign(self.orientation)
+        s = self.params
+        if self.label is CobordismLabel.Z:
+            if self.handle_count < 1:
+                raise InvalidParams(f"handle count must be >= 1, got {self.handle_count}")
+            gluing, killed = pattern_gluing_map(s.n), KILL_LONGITUDE
+        else:
+            if self.handle_count != s.n:
+                raise InvalidParams(f"{self.label} attaches n = {s.n} handles, got {self.handle_count}")
+            # sign * orientation is the framing as built: -1 for R, +1 for P.
+            gluing, killed = post_surgery_gluing(s.n, self.sign * self.orientation), KILL_MERIDIAN
+        slope = slope_from_filling(gluing, killed)
+        space = moser_identify(s.p, s.q, slope)
+        if self.label is CobordismLabel.R:
+            # The filling is S^3, capped with a 4-ball: no outgoing boundary.
+            if not isinstance(space, ThreeSphere):
+                raise UnsupportedSlope(f"R filling slope {slope} yields {space}, not S^3")
+            outgoing = ()
+        else:
+            # Z ends at one sphere, P at two copies of one.
+            built = BoundaryComponent(space, 2 if self.label is CobordismLabel.P else 1)
+            outgoing = (built if self.orientation == 1 else built.reversed(),)
+        object.__setattr__(self, "outgoing", outgoing)
+
+    @property
+    def incoming(self) -> BoundaryComponent:
+        return BoundaryComponent(BranchedCover(self.params, self.orientation))
 
     @property
     def sign(self) -> int:
@@ -120,22 +150,13 @@ def build_Z(s: SatelliteParams, crossings: int | None = None) -> CobordismRecord
     crossings overrides the number of crossing changes used to unknot the
     companion (any positive-to-negative sequence works); the default is the
     torus-knot unknotting number.  The outgoing sphere is computed honestly:
-    the filling slope 1/n is read off the splitting's gluing map, then fed
+    the filling slope 1/n is read off the pattern gluing map, then fed
     through the Moser identification.
     """
     c = default_crossing_count(s.p, s.q) if crossings is None else crossings
     if c < 1:
         raise InvalidParams(f"crossing count must be >= 1, got {c}")
-    decomposition = double_cover_decomposition(s)
-    slope = slope_from_filling(decomposition.gluings[0], KILL_LONGITUDE)
-    outgoing = moser_identify(s.p, s.q, slope)
-    return CobordismRecord(
-        label=CobordismLabel.Z,
-        params=s,
-        incoming=BoundaryComponent(BranchedCover(s)),
-        outgoing=(BoundaryComponent(outgoing),),
-        handle_count=c,
-    )
+    return CobordismRecord(CobordismLabel.Z, s, c)
 
 
 def build_R(s: SatelliteParams) -> CobordismRecord:
@@ -144,40 +165,17 @@ def build_R(s: SatelliteParams) -> CobordismRecord:
     The n -1-framed handles along the clasp turn the cover into 1/0 surgery
     on both companion copies, i.e. S^3, which is then capped with a 4-ball.
     """
-    slope = slope_from_filling(post_surgery_gluing(s.n, handle_sign=-1), KILL_MERIDIAN)
-    capped = moser_identify(s.p, s.q, slope)
-    if not isinstance(capped, ThreeSphere):
-        raise UnsupportedSlope(f"R filling slope {slope} yields {capped}, not S^3")
-    return CobordismRecord(
-        label=CobordismLabel.R,
-        params=s,
-        incoming=BoundaryComponent(BranchedCover(s)),
-        outgoing=(),
-        handle_count=s.n,
-    )
+    return CobordismRecord(CobordismLabel.R, s, s.n)
 
 
 def build_P(s: SatelliteParams) -> CobordismRecord:
     """Positive definite cobordism from the cover to two copies of
     -Sigma(p, q, 2n*p*q - 1), via the slope-1/(2n) filling of each companion
     copy induced by the +1-framed handles."""
-    slope = slope_from_filling(post_surgery_gluing(s.n, handle_sign=+1), KILL_MERIDIAN)
-    outgoing = moser_identify(s.p, s.q, slope)
-    return CobordismRecord(
-        label=CobordismLabel.P,
-        params=s,
-        incoming=BoundaryComponent(BranchedCover(s)),
-        outgoing=(BoundaryComponent(outgoing, multiplicity=2),),
-        handle_count=s.n,
-    )
+    return CobordismRecord(CobordismLabel.P, s, s.n)
 
 
 def reverse_orientation(r: CobordismRecord) -> CobordismRecord:
     """Orientation reversal: flips the orientation, hence the form's sign and
     definiteness class, and every boundary component.  An involution."""
-    return replace(
-        r,
-        incoming=r.incoming.reversed(),
-        outgoing=tuple(b.reversed() for b in r.outgoing),
-        orientation=-r.orientation,
-    )
+    return replace(r, orientation=-r.orientation)

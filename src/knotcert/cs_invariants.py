@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvalidParams, NonIntegerCount
+from .errors import InvalidParams
 
 
 def _validate_triple(p: int, q: int, k: int = 1) -> None:
@@ -59,9 +59,10 @@ class H1Data:
     """First-homology data of a 4-manifold: torsion order T and the defect
     beta = rank H_1(.; Z/2) - rank H_1(.; Z).
 
-    The reducible-connection count is T / 2^beta; a positive beta with odd
-    torsion can never produce an integer count, so that pair is rejected
-    outright.
+    beta counts the even-order cyclic summands of the torsion, since
+    H_1(.; Z/2) = H_1 (x) Z/2 when H_0 is free, so 2^beta divides T and the
+    reducible-connection count T / 2^beta is an integer.  Data that breaks
+    this rule belongs to no space and is rejected.
     """
 
     torsion_order: int
@@ -72,10 +73,11 @@ class H1Data:
             raise InvalidParams(f"torsion order must be >= 1, got {self.torsion_order}")
         if self.beta < 0:
             raise InvalidParams(f"beta must be >= 0, got {self.beta}")
-        if self.beta > 0 and self.torsion_order % 2 != 0:
+        # 2^beta divides T iff T has at least beta factors of 2; counting them
+        # never builds 2^beta, however large beta is.
+        if (self.torsion_order & -self.torsion_order).bit_length() - 1 < self.beta:
             raise InvalidParams(
-                f"beta={self.beta} > 0 with odd torsion order {self.torsion_order} "
-                "cannot yield an integral boundary count"
+                f"2^beta = 2^{self.beta} does not divide the torsion order {self.torsion_order}"
             )
 
 
@@ -165,13 +167,5 @@ def count_reducibles(h: H1Data) -> Fraction:
 
 def parity_obstruction(h: H1Data) -> bool:
     """True iff the reducible count is odd, i.e. the boundary-parity
-    contradiction fires (a compact 1-manifold has evenly many endpoints).
-
-    Raises NonIntegerCount when T / 2^beta is not an integer.
-    """
-    count = count_reducibles(h)
-    if count.denominator != 1:
-        raise NonIntegerCount(
-            f"T/2^beta = {count} is not an integer (T={h.torsion_order}, beta={h.beta})"
-        )
-    return count.numerator % 2 == 1
+    contradiction fires (a compact 1-manifold has evenly many endpoints)."""
+    return count_reducibles(h).numerator % 2 == 1

@@ -17,10 +17,6 @@ class IntegralityFailure(KnotcertError, ArithmeticError):
     """A quantity expected to round to an integer did not, even at maximal precision."""
 
 
-class NonIntegerCount(KnotcertError, ArithmeticError):
-    """A boundary-point count T/2^beta is not an integer; the homology data is unusable."""
-
-
 class UnsupportedSlope(KnotcertError, ValueError):
     """Surgery slope outside the family this library identifies."""
 

@@ -27,10 +27,10 @@ from typing import ClassVar, Iterable, Sequence
 
 from .cobordisms import (
     BoundaryComponent,
-    build_P,
+    CobordismLabel,
+    CobordismRecord,
     build_R,
     build_Z,
-    reverse_orientation,
 )
 from .covers import SatelliteParams
 from .cs_invariants import _growth, _validate_triple, _validate_twist
@@ -174,8 +174,13 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
     for member, c in zip(members, cs):
         if c == 0:
             continue
-        # R has no outgoing boundary, so only reversed P adds pieces here.
-        record = build_R(member) if c > 0 else reverse_orientation(build_P(member))
+        # R has no outgoing boundary, so only reversed P adds pieces here.  P is
+        # built reversed, so its boundary is derived once.
+        record = (
+            build_R(member)
+            if c > 0
+            else CobordismRecord(CobordismLabel.P, member, member.n, orientation=-1)
+        )
         rank += record.handle_count * abs(c)
         boundary.extend(BoundaryComponent(b.space, b.multiplicity * abs(c)) for b in record.outgoing)
 

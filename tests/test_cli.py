@@ -140,6 +140,14 @@ def test_cobordism_crossings_flag():
     assert len(payload["form"]) == 4
 
 
+@pytest.mark.parametrize("kind", ["R", "P"])
+def test_cobordism_crossings_flag_applies_to_Z_only(kind):
+    assert run("cobordism", kind, "2", "2", "3", "--crossings", "5") == (
+        2,
+        "usage error: --crossings applies to Z only",
+    )
+
+
 def test_certify_exit_codes_follow_verdict():
     code, out = run("certify", "--family", "2,2,3;2,2,5")
     assert code == 0

@@ -1,15 +1,18 @@
 """The Z/R/P cobordism records: boundaries, forms, reversal."""
 
 import itertools
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from knotcert import (
     KILL_LONGITUDE,
+    BoundaryComponent,
     BranchedCover,
     BrieskornSphere,
     CobordismLabel,
+    CobordismRecord,
     Definiteness,
     InvalidParams,
     SatelliteParams,
@@ -134,6 +137,32 @@ def test_reverse_orientation():
 
     r = build_R(SatelliteParams(2, 2, 3))
     assert reverse_orientation(r).form == SymIntMatrix.identity(2)
+
+
+def test_setting_orientation_reverses_both_boundaries():
+    s = SatelliteParams(2, 2, 3)
+    for builder in (build_Z, build_R, build_P):
+        built = builder(s)
+        flipped = replace(built, orientation=-1)
+        assert flipped == reverse_orientation(built)
+        assert flipped.incoming == built.incoming.reversed()
+        assert flipped.outgoing == tuple(b.reversed() for b in built.outgoing)
+    flipped = replace(build_P(s), orientation=-1)
+    assert flipped.sign == -1
+    assert flipped.incoming == BoundaryComponent(BranchedCover(s, orientation=-1))
+    assert flipped.outgoing == (BoundaryComponent(BrieskornSphere(2, 3, 23), multiplicity=2),)
+
+
+def test_R_and_P_refuse_a_handle_count_other_than_n():
+    s = SatelliteParams(2, 2, 3)
+    for label in (CobordismLabel.R, CobordismLabel.P):
+        for count in (s.n - 1, s.n + 2):
+            with pytest.raises(InvalidParams):
+                CobordismRecord(label, s, count)
+        assert CobordismRecord(label, s, s.n) == {"R": build_R, "P": build_P}[label.value](s)
+    with pytest.raises(InvalidParams):
+        CobordismRecord(CobordismLabel.Z, s, 0)
+    assert CobordismRecord(CobordismLabel.Z, s, 7) == build_Z(s, crossings=7)
 
 
 def test_reverse_is_an_involution():

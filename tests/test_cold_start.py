@@ -12,13 +12,13 @@ import textwrap
 
 import pytest
 
-# The public names of the package as of 0.2.0, plus r_exact.
+# The public names of the package as of 0.5.0.
 PUBLIC_NAMES = {
     "AllZeroCoefficients", "AssembledManifold", "BoundaryComponent", "BranchedCover",
     "BrieskornSphere", "ChainCheck", "CobordismLabel", "CobordismRecord",
     "CompactnessCheck", "CompactnessReport", "CoverDecomposition", "Definiteness",
     "Family", "H1Data", "IndependenceCertificate", "IntegralityFailure", "InvalidParams",
-    "KILL_LONGITUDE", "KILL_MERIDIAN", "KnotcertError", "NonIntegerCount", "RValue",
+    "KILL_LONGITUDE", "KILL_MERIDIAN", "KnotcertError", "RValue",
     "SNFResult", "SatelliteParams", "Slope", "SymIntMatrix", "THREE_SPHERE",
     "TauValue", "ThreeSphere", "TorusGluingMap", "TorusLinkExterior", "UnsupportedSlope",
     "Verdict", "assemble_X", "build_P", "build_R", "build_Z", "certify_family",

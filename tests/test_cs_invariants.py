@@ -10,7 +10,6 @@ from knotcert import (
     CompactnessReport,
     H1Data,
     InvalidParams,
-    NonIntegerCount,
     compactness_check,
     count_reducibles,
     lens_cs_lower_bound,
@@ -109,7 +108,6 @@ def test_count_reducibles():
     assert count_reducibles(H1Data(3, 0)) == 3
     assert count_reducibles(H1Data(1, 0)) == 1
     assert count_reducibles(H1Data(8, 2)) == 2
-    assert count_reducibles(H1Data(2, 2)) == Fraction(1, 2)
 
 
 def test_h1data_rejects_odd_torsion_with_positive_beta():
@@ -128,9 +126,10 @@ def test_parity_obstruction():
     assert parity_obstruction(H1Data(2, 1)) is True  # count 1
 
 
-def test_parity_obstruction_rejects_fractional_count():
-    with pytest.raises(NonIntegerCount):
-        parity_obstruction(H1Data(2, 2))
+def test_h1data_rejects_torsion_that_2_to_the_beta_does_not_divide():
+    for t, beta in ((2, 2), (12, 3)):
+        with pytest.raises(InvalidParams):
+            H1Data(t, beta)
 
 
 def test_parity_odd_torsion_always_fires():

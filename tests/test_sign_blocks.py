@@ -3,17 +3,22 @@
 A cobordism record holds its form as sign * I_handle_count, and the
 assembled manifold X holds its form -I_rank as that rank, with the class a
 constant of the certificate.  These tests materialise the dense matrices
-and compare with exactmath.definiteness on them.
+and compare with exactmath.definiteness on them.  A record's orientation
+also fixes its boundaries, checked against the as-built spheres.
 """
 
 import itertools
 import time
+from dataclasses import replace
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotcert import (
+    BoundaryComponent,
+    BranchedCover,
+    BrieskornSphere,
     Definiteness,
     Family,
     SatelliteParams,
@@ -42,13 +47,21 @@ def satellites(max_n):
 
 
 @SETTINGS
-@given(satellites(12), st.sampled_from("ZRP"), st.integers(1, 12), st.booleans())
-def test_record_form_is_its_sign_times_identity(s, label, crossings, reverse):
+@given(satellites(12), st.sampled_from("ZRP"), st.integers(1, 12), st.sampled_from((1, -1)))
+def test_record_form_is_its_sign_times_identity(s, label, crossings, orientation):
     builders = {"Z": lambda: build_Z(s, crossings=crossings), "R": lambda: build_R(s), "P": lambda: build_P(s)}
-    record = builders[label]()
-    if reverse:
-        record = reverse_orientation(record)
-    sign = (1 if label == "P" else -1) * (-1 if reverse else 1)
+    built = builders[label]()
+    record = replace(built, orientation=orientation)
+    assert record == (built if orientation == 1 else reverse_orientation(built))
+    npq = s.n * s.p * s.q
+    as_built = {
+        "Z": (BoundaryComponent(BrieskornSphere(s.p, s.q, npq - 1, orientation=-1)),),
+        "R": (),  # S^3, capped with a 4-ball
+        "P": (BoundaryComponent(BrieskornSphere(s.p, s.q, 2 * npq - 1, orientation=-1), 2),),
+    }[label]
+    assert record.incoming == BoundaryComponent(BranchedCover(s, orientation))
+    assert record.outgoing == (as_built if orientation == 1 else tuple(b.reversed() for b in as_built))
+    sign = (1 if label == "P" else -1) * orientation
     assert record.sign == sign
     assert record.handle_count == (crossings if label == "Z" else s.n)
     assert record.form == SymIntMatrix.identity(record.handle_count, sign)
