@@ -10,7 +10,7 @@ growth criterion that certifies infinite families independent in the smooth
 concordance group.  All certificate arithmetic is exact.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # Public name -> the submodule that defines it.  Names resolve on first access
 # (PEP 562), so `import knotcert` loads no submodule and no mpmath.
@@ -57,7 +57,6 @@ _EXPORTS = {
     "SNFResult": "exactmath",
     "SymIntMatrix": "exactmath",
     "definiteness": "exactmath",
-    "direct_sum": "exactmath",
     "smith_normal_form": "exactmath",
     "BrieskornSphere": "fs_invariant",
     "RValue": "fs_invariant",

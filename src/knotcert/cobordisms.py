@@ -36,7 +36,7 @@ from .covers import (
     post_surgery_gluing,
     slope_from_filling,
 )
-from .cs_invariants import _validate_sign
+from .cs_invariants import _validate_ints, _validate_sign
 from .errors import InvalidParams, UnsupportedSlope
 from .exactmath import SymIntMatrix
 from .fs_invariant import BrieskornSphere
@@ -61,8 +61,10 @@ class BoundaryComponent:
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise InvalidParams(f"multiplicity must be >= 1, got {self.multiplicity}")
+        [m] = _validate_ints([self.multiplicity], "multiplicity")
+        if m < 1:
+            raise InvalidParams(f"multiplicity must be >= 1, got {m}")
+        object.__setattr__(self, "multiplicity", m)
 
     def reversed(self) -> "BoundaryComponent":
         return BoundaryComponent(self.space.reversed(), self.multiplicity)
@@ -95,15 +97,17 @@ class CobordismRecord:
     h1_z2_trivial: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        _validate_sign(self.orientation)
+        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
+        [c] = _validate_ints([self.handle_count], "handle count")
+        object.__setattr__(self, "handle_count", c)
         s = self.params
         if self.label is CobordismLabel.Z:
-            if self.handle_count < 1:
-                raise InvalidParams(f"handle count must be >= 1, got {self.handle_count}")
+            if c < 1:
+                raise InvalidParams(f"crossing count must be >= 1, got {c}")
             gluing, killed = pattern_gluing_map(s.n), KILL_LONGITUDE
         else:
-            if self.handle_count != s.n:
-                raise InvalidParams(f"{self.label} attaches n = {s.n} handles, got {self.handle_count}")
+            if c != s.n:
+                raise InvalidParams(f"{self.label} attaches n = {s.n} handles, got {c}")
             # sign * orientation is the framing as built: -1 for R, +1 for P.
             gluing, killed = post_surgery_gluing(s.n, self.sign * self.orientation), KILL_MERIDIAN
         slope = slope_from_filling(gluing, killed)
@@ -154,8 +158,6 @@ def build_Z(s: SatelliteParams, crossings: int | None = None) -> CobordismRecord
     through the Moser identification.
     """
     c = default_crossing_count(s.p, s.q) if crossings is None else crossings
-    if c < 1:
-        raise InvalidParams(f"crossing count must be >= 1, got {c}")
     return CobordismRecord(CobordismLabel.Z, s, c)
 
 

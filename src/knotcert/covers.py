@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .cs_invariants import _validate_sign, _validate_triple, _validate_twist
+from .cs_invariants import _validate_ints, _validate_sign, _validate_triple, _validate_twist
 from .errors import InvalidParams, UnsupportedSlope
 from .exactmath import Slope
 from .fs_invariant import BrieskornSphere
@@ -34,7 +34,7 @@ class SatelliteParams:
     """The triple (n, p, q) defining D_n(T_{p,q}).
 
     n >= 2 must be even (odd n gives the pattern nonzero winding number);
-    p, q >= 2 must be coprime.
+    p, q >= 2 must be coprime.  All three are stored as ints.
     """
 
     n: int
@@ -42,8 +42,10 @@ class SatelliteParams:
     q: int
 
     def __post_init__(self) -> None:
-        _validate_twist(self.n)
-        _validate_triple(self.p, self.q)
+        object.__setattr__(self, "n", _validate_twist(self.n))
+        p, q, _ = _validate_triple(self.p, self.q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __str__(self) -> str:
         return f"D_{self.n}(T({self.p},{self.q}))"
@@ -71,7 +73,7 @@ class BranchedCover:
     orientation: int = 1
 
     def __post_init__(self) -> None:
-        _validate_sign(self.orientation)
+        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
 
     def reversed(self) -> "BranchedCover":
         return BranchedCover(self.params, -self.orientation)
@@ -89,7 +91,7 @@ class TorusGluingMap:
     matrix: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self) -> None:
-        m = tuple(tuple(int(v) for v in row) for row in self.matrix)
+        m = tuple(tuple(_validate_ints(row, "a gluing matrix entry")) for row in self.matrix)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise InvalidParams("gluing matrix must be 2x2")
         object.__setattr__(self, "matrix", m)
@@ -124,7 +126,7 @@ class TorusLinkExterior:
     n: int
 
     def __post_init__(self) -> None:
-        _validate_twist(self.n)
+        object.__setattr__(self, "n", _validate_twist(self.n))
 
     @property
     def link_parameters(self) -> tuple[int, int]:
@@ -171,7 +173,7 @@ def post_surgery_gluing(n: int, handle_sign: int) -> TorusGluingMap:
 
         mu_K -> m + (-n - sign*n) * l,   lambda_K -> l.
     """
-    _validate_sign(handle_sign, "handle_sign")
+    handle_sign = _validate_sign(handle_sign, "handle_sign")
     unlink_frame = TorusGluingMap(((1, -handle_sign * n), (0, 1)))
     meridian_longitude_swap = TorusGluingMap(((0, 1), (1, 0)))
     return meridian_longitude_swap.compose(unlink_frame.compose(pattern_gluing_map(n)))
@@ -213,7 +215,7 @@ def moser_identify(p: int, q: int, s: Slope) -> BrieskornSphere | ThreeSphere:
     slope is outside the family this library handles and raises
     UnsupportedSlope.
     """
-    _validate_triple(p, q)
+    p, q, _ = _validate_triple(p, q)
     if s == Slope(1, 0):
         return THREE_SPHERE
     if s.a == 1 and s.b >= 1:

@@ -8,6 +8,7 @@ A triple (p, q, k) always refers to that sphere.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -15,27 +16,45 @@ from typing import Iterable, Sequence
 from .errors import InvalidParams
 
 
-def _validate_triple(p: int, q: int, k: int = 1) -> None:
-    """The one rule for (p, q, k): p, q >= 2 coprime, k >= 1 (omitted for a pair)."""
+def _validate_ints(values: Iterable, name: str) -> list[int]:
+    """The one rule for integer input: each value passes operator.index, so
+    int, bool and numpy integers become ints, and a float, str or Fraction
+    raises InvalidParams instead of being truncated."""
+    values = tuple(values)  # an iterator is read once; a tuple is not copied
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(type(v), "__index__")), None)
+        raise InvalidParams(f"{name} must be an integer, got {bad!r}") from None
+
+
+def _validate_triple(p: int, q: int, k: int = 1) -> list[int]:
+    """The one rule for (p, q, k): ints, p, q >= 2 coprime, k >= 1 (omitted for a pair)."""
+    p, q, k = _validate_ints((p, q, k), "each of p, q, k")
     if p < 2 or q < 2:
         raise InvalidParams(f"p, q must be >= 2, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise InvalidParams(f"p, q must be coprime, got ({p}, {q})")
     if k < 1:
         raise InvalidParams(f"k must be >= 1, got {k}")
+    return [p, q, k]
 
 
-def _validate_twist(n: int, name: str = "n") -> None:
-    """The one rule for a twist parameter: even n >= 2 (odd n gives the
-    pattern nonzero winding number)."""
+def _validate_twist(n: int, name: str = "n") -> int:
+    """The one rule for a twist parameter: an even integer n >= 2 (odd n
+    gives the pattern nonzero winding number)."""
+    [n] = _validate_ints([n], name)
     if n < 2 or n % 2 != 0:
         raise InvalidParams(f"{name} must be a positive even integer, got {n}")
+    return n
 
 
-def _validate_sign(s: int, name: str = "orientation") -> None:
-    """The one rule for an orientation or framing sign: +1 or -1."""
+def _validate_sign(s: int, name: str = "orientation") -> int:
+    """The one rule for an orientation or framing sign: the integer +1 or -1."""
+    [s] = _validate_ints([s], name)
     if s not in (1, -1):
         raise InvalidParams(f"{name} must be +1 or -1")
+    return s
 
 
 def _growth(p: int, q: int, k: int) -> int:
@@ -69,35 +88,36 @@ class H1Data:
     beta: int
 
     def __post_init__(self) -> None:
-        if self.torsion_order < 1:
-            raise InvalidParams(f"torsion order must be >= 1, got {self.torsion_order}")
-        if self.beta < 0:
-            raise InvalidParams(f"beta must be >= 0, got {self.beta}")
+        t, beta = _validate_ints((self.torsion_order, self.beta), "each of torsion order, beta")
+        if t < 1:
+            raise InvalidParams(f"torsion order must be >= 1, got {t}")
+        if beta < 0:
+            raise InvalidParams(f"beta must be >= 0, got {beta}")
         # 2^beta divides T iff T has at least beta factors of 2; counting them
         # never builds 2^beta, however large beta is.
-        if (self.torsion_order & -self.torsion_order).bit_length() - 1 < self.beta:
-            raise InvalidParams(
-                f"2^beta = 2^{self.beta} does not divide the torsion order {self.torsion_order}"
-            )
+        if (t & -t).bit_length() - 1 < beta:
+            raise InvalidParams(f"2^beta = 2^{beta} does not divide the torsion order {t}")
+        object.__setattr__(self, "torsion_order", t)
+        object.__setattr__(self, "beta", beta)
 
 
 def tau_brieskorn_family(p: int, q: int, k: int) -> TauValue:
     """tau(Sigma(p, q, k*p*q - 1)) = 1 / (p*q*(k*p*q - 1)), exactly."""
-    _validate_triple(p, q, k)
+    p, q, k = _validate_triple(p, q, k)
     return TauValue(Fraction(1, _growth(p, q, k)))
 
 
 def pontryagin_number(p: int, q: int, k: int) -> Fraction:
     """Relative Pontryagin number of the adapted bundle over the mapping-
     cylinder piece for Sigma(p, q, k*p*q - 1): 1 / (p*q*(k*p*q - 1)) < 4."""
-    _validate_triple(p, q, k)
+    p, q, k = _validate_triple(p, q, k)
     return Fraction(1, _growth(p, q, k))
 
 
 def lens_cs_lower_bound(p: int, q: int, k: int) -> Fraction:
     """Lower bound for the minimal Chern-Simons invariant of the lens spaces
     surrounding the three singular fibers: min{1/p, 1/q, 1/(k*p*q - 1)}."""
-    _validate_triple(p, q, k)
+    p, q, k = _validate_triple(p, q, k)
     return min(Fraction(1, p), Fraction(1, q), Fraction(1, k * p * q - 1))
 
 
@@ -160,12 +180,12 @@ def compactness_check(
     return CompactnessReport(tuple(checks))
 
 
-def count_reducibles(h: H1Data) -> Fraction:
-    """Number of reducible limits, T / 2^beta, as an exact rational."""
-    return Fraction(h.torsion_order, 2**h.beta)
+def count_reducibles(h: H1Data) -> int:
+    """Number of reducible limits, T / 2^beta; H1Data makes it an integer."""
+    return h.torsion_order >> h.beta
 
 
 def parity_obstruction(h: H1Data) -> bool:
     """True iff the reducible count is odd, i.e. the boundary-parity
     contradiction fires (a compact 1-manifold has evenly many endpoints)."""
-    return count_reducibles(h).numerator % 2 == 1
+    return count_reducibles(h) % 2 == 1

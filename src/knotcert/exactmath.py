@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .cs_invariants import _validate_ints
 from .errors import InvalidParams
 
 
@@ -29,7 +30,7 @@ class Slope:
     b: int
 
     def __post_init__(self) -> None:
-        a, b = self.a, self.b
+        a, b = _validate_ints((self.a, self.b), "each of a, b")
         if (a, b) == (0, 0):
             raise InvalidParams("slope (0, 0) is not a homology class of a curve")
         if math.gcd(a, b) != 1:
@@ -57,18 +58,17 @@ class Definiteness(Enum):
 
 @dataclass(frozen=True)
 class SymIntMatrix:
-    """Symmetric integer matrix, stored as an immutable tuple of row tuples.
-
-    The 0-dimensional matrix is allowed purely as the identity element of
-    direct_sum; it has no definiteness class.
-    """
+    """Symmetric integer matrix of dimension >= 1, stored as an immutable
+    tuple of row tuples of ints."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         # Lists first: tuple(generator) resizes as it grows, fragmenting the heap.
-        rows = tuple([tuple([int(v) for v in row]) for row in self.entries])
+        rows = tuple([tuple(_validate_ints(row, "a matrix entry")) for row in self.entries])
         n = len(rows)
+        if n == 0:
+            raise InvalidParams("a form has dimension >= 1, got 0")
         for row in rows:
             if len(row) != n:
                 raise InvalidParams("matrix is not square")
@@ -133,7 +133,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:
     and every column operation on the right one, so left @ A @ right equals
     the diagonal result exactly.
     """
-    a = [[int(v) for v in row] for row in m]
+    a = [_validate_ints(row, "a matrix entry") for row in m]
     if not a or not a[0]:
         raise InvalidParams("matrix must have at least one row and one column")
     nr, nc = len(a), len(a[0])
@@ -223,9 +223,6 @@ def definiteness(m: SymIntMatrix) -> Definiteness:
     involved.
     """
     d = m.dimension
-    if d == 0:
-        raise InvalidParams("the 0-dimensional form has no definiteness class")
-
     a = [list(row) for row in m.entries]
     pos = neg = 0
     prev = 1
@@ -268,16 +265,3 @@ def definiteness(m: SymIntMatrix) -> Definiteness:
     if pos and neg:
         return Definiteness.INDEFINITE
     return Definiteness.POSITIVE_DEFINITE if neg == 0 else Definiteness.NEGATIVE_DEFINITE
-
-
-def direct_sum(ms: Iterable[SymIntMatrix]) -> SymIntMatrix:
-    """Block-diagonal sum; the empty sum is the 0-dimensional matrix."""
-    blocks = list(ms)
-    total = sum(b.dimension for b in blocks)
-    rows = [[0] * total for _ in range(total)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b.entries):
-            rows[offset + i][offset : offset + b.dimension] = list(row)
-        offset += b.dimension
-    return SymIntMatrix.from_rows(rows)

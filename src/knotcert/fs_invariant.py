@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cs_invariants import _validate_sign
+from .cs_invariants import _validate_ints, _validate_sign
 from .errors import IntegralityFailure, InvalidParams
 
 # mpmath is imported inside the functions that evaluate R: loading it takes
@@ -61,14 +61,12 @@ class BrieskornSphere:
     orientation: int = 1
 
     def __post_init__(self) -> None:
-        a = sorted((int(self.a1), int(self.a2), int(self.a3)))
+        a = sorted(_validate_ints((self.a1, self.a2, self.a3), "a multiplicity"))
         if a[0] < 2:
             raise InvalidParams(f"multiplicities must be >= 2, got {tuple(a)}")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if math.gcd(a[i], a[j]) != 1:
-                    raise InvalidParams(f"multiplicities {tuple(a)} are not pairwise coprime")
-        _validate_sign(self.orientation)
+        if math.lcm(*a) != a[0] * a[1] * a[2]:
+            raise InvalidParams(f"multiplicities {tuple(a)} are not pairwise coprime")
+        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
         object.__setattr__(self, "a1", a[0])
         object.__setattr__(self, "a2", a[1])
         object.__setattr__(self, "a3", a[2])

@@ -33,7 +33,7 @@ from .cobordisms import (
     build_Z,
 )
 from .covers import SatelliteParams
-from .cs_invariants import _growth, _validate_triple, _validate_twist
+from .cs_invariants import _growth, _validate_ints, _validate_triple, _validate_twist
 from .errors import AllZeroCoefficients, InvalidParams
 from .exactmath import Definiteness, SymIntMatrix
 
@@ -128,10 +128,7 @@ def single_growth(m: SatelliteParams) -> int:
 def furuta_chain_check(triples: Sequence[Sequence[int]]) -> list[bool]:
     """Strict growth p_i q_i (k_i p_i q_i - 1) < p_{i+1} q_{i+1} (...) for
     each consecutive pair of (p, q, k) triples; exact integer comparisons."""
-    sizes = []
-    for p, q, k in triples:
-        _validate_triple(p, q, k)
-        sizes.append(_growth(p, q, k))
+    sizes = [_growth(*_validate_triple(p, q, k)) for p, q, k in triples]
     return [sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)]
 
 
@@ -150,7 +147,7 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
     of negative coefficient contributes two copies of
     +Sigma(p, q, 2n*p*q - 1) to the boundary.
     """
-    cs = [int(c) for c in coefficients]
+    cs = _validate_ints(coefficients, "a coefficient")
     if len(cs) != len(f.members):
         raise InvalidParams(f"{len(cs)} coefficients for {len(f.members)} members")
     if all(c == 0 for c in cs):
@@ -207,7 +204,7 @@ def certify_family(
         ChainCheck(i + 1, doubled_growth(members[i]), single_growth(members[i + 1]))
         for i in range(len(members) - 1)
     )
-    tested = None if coefficients is None else tuple(int(c) for c in coefficients)
+    tested = None if coefficients is None else tuple(_validate_ints(coefficients, "a coefficient"))
     assembled = assemble_X(f, [1] * len(members) if tested is None else tested)
     return IndependenceCertificate(
         family=f,
@@ -240,17 +237,13 @@ def next_member(prefix: Family, fix_n: int | None = None) -> SatelliteParams:
     wins; otherwise the first pair, (2, 3), always wins with the minimal
     even n >= 2 past the bound.
     """
-    if fix_n is not None:
-        _validate_twist(fix_n, "fix_n")
     bound = doubled_growth(prefix.members[-1])
     if fix_n is None:
-        # minimal even n >= 2 with 6*(6n - 1) > bound
-        n = max(2, (bound // 6 + 1) // 6 + 1)
-        if n % 2 != 0:
-            n += 1
-        while _growth(2, 3, n) <= bound:
-            n += 2
-        return SatelliteParams(n, 2, 3)
+        # n is the least n >= 1 with 6*(6n - 1) > bound, and rounding up to
+        # even only raises the growth.
+        n = (bound // 6 + 1) // 6 + 1
+        return SatelliteParams(n + n % 2, 2, 3)
+    fix_n = _validate_twist(fix_n, "fix_n")
     return next(
         SatelliteParams(fix_n, p, q) for p, q in _coprime_pairs() if _growth(p, q, fix_n) > bound
     )
@@ -260,6 +253,7 @@ def generate_family(
     start: SatelliteParams, count: int, fix_n: int | None = None
 ) -> Family:
     """Iterate next_member from a starting point to a family of the given size."""
+    [count] = _validate_ints([count], "count")
     if count < 1:
         raise InvalidParams(f"count must be >= 1, got {count}")
     members = [start]

@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-# The public names of the package as of 0.5.0.
+# The public names of the package as of 0.6.0.
 PUBLIC_NAMES = {
     "AllZeroCoefficients", "AssembledManifold", "BoundaryComponent", "BranchedCover",
     "BrieskornSphere", "ChainCheck", "CobordismLabel", "CobordismRecord",
@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "TauValue", "ThreeSphere", "TorusGluingMap", "TorusLinkExterior", "UnsupportedSlope",
     "Verdict", "assemble_X", "build_P", "build_R", "build_Z", "certify_family",
     "compactness_check", "count_reducibles", "default_crossing_count", "definiteness",
-    "direct_sum", "double_cover_decomposition", "doubled_growth", "furuta_chain_check",
+    "double_cover_decomposition", "doubled_growth", "furuta_chain_check",
     "generate_family", "lens_cs_lower_bound", "moser_identify", "next_member",
     "parity_obstruction", "pattern_gluing_map", "pontryagin_number",
     "post_surgery_gluing", "r_exact", "r_invariant", "reverse_orientation",

@@ -105,6 +105,7 @@ def test_compactness_monotone_under_boundary_removal():
 
 
 def test_count_reducibles():
+    assert type(count_reducibles(H1Data(12, 2))) is int
     assert count_reducibles(H1Data(3, 0)) == 3
     assert count_reducibles(H1Data(1, 0)) == 1
     assert count_reducibles(H1Data(8, 2)) == 2

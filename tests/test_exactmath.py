@@ -16,7 +16,6 @@ from knotcert import (
     Slope,
     SymIntMatrix,
     definiteness,
-    direct_sum,
     smith_normal_form,
 )
 from oracles import box_definiteness_oracle, det_exact, snf_bruteforce_2x2
@@ -154,9 +153,9 @@ def test_definiteness_zero_diagonal_hyperbolic_plane():
     )
 
 
-def test_definiteness_zero_dimensional_rejected():
-    with pytest.raises(InvalidParams):
-        definiteness(SymIntMatrix(()))
+def test_zero_dimensional_matrix_rejected():
+    with pytest.raises(InvalidParams, match="^a form has dimension >= 1, got 0$"):
+        SymIntMatrix(())
 
 
 def test_definiteness_agrees_with_box_oracle():
@@ -227,18 +226,23 @@ def test_symintmatrix_validation():
         SymIntMatrix.from_rows([[1, 2]])  # not square
 
 
-# --- direct sums -----------------------------------------------------------
+# --- block sums -------------------------------------------------------------
 
 
-def test_direct_sum_examples():
-    a = direct_sum([SymIntMatrix.identity(2, -1), SymIntMatrix.identity(1, -1)])
-    assert a == SymIntMatrix.identity(3, -1)
-    assert direct_sum([]).dimension == 0
-    mixed = direct_sum([SymIntMatrix.identity(1), SymIntMatrix.identity(1, -1)])
-    assert mixed == SymIntMatrix.diagonal([1, -1])
+def block_diagonal_rows(blocks):
+    total = sum(b.dimension for b in blocks)
+    rows = [[0] * total for _ in range(total)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b.entries):
+            rows[offset + i][offset : offset + b.dimension] = row
+        offset += b.dimension
+    return rows
 
 
 def test_direct_sum_of_negative_definite_blocks_is_negative_definite():
+    # The property that lets X's form be carried as a rank: each piece is
+    # negative definite, so their block sum is too.
     rng = random.Random(404)
     for _ in range(50):
         blocks = []
@@ -252,7 +256,8 @@ def test_direct_sum_of_negative_definite_blocks_is_negative_definite():
             block = SymIntMatrix.from_rows(gram)  # -(B^T B + I): negative definite
             assert definiteness(block) is Definiteness.NEGATIVE_DEFINITE
             blocks.append(block)
-        assert definiteness(direct_sum(blocks)) is Definiteness.NEGATIVE_DEFINITE
+        rows = block_diagonal_rows(blocks)
+        assert definiteness(SymIntMatrix.from_rows(rows)) is Definiteness.NEGATIVE_DEFINITE
 
 
 # --- rationals and slopes ---------------------------------------------------

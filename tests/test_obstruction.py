@@ -28,6 +28,7 @@ from knotcert import (
     next_member,
     single_growth,
 )
+from knotcert import obstruction
 from oracles import successor_oracle
 
 
@@ -243,6 +244,37 @@ def test_generated_chains_match_enumeration_oracle():
         family = generate_family(start, rng.randint(2, 9), fix_n=fix_n)
         for last, nxt in zip(family.members, family.members[1:]):
             assert (nxt.n, nxt.p, nxt.q) == successor_oracle(last.n, last.p, last.q, fix_n)
+
+
+def _least_even_twist_above(bound):
+    """Least even n >= 2 with 6*(6n - 1) > bound, by bisection on n/2."""
+    lo, hi = 1, 1
+    while 6 * (12 * hi - 1) <= bound:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if 6 * (12 * mid - 1) > bound:
+            hi = mid
+        else:
+            lo = mid + 1
+    return 2 * lo
+
+
+def test_free_next_member_is_the_least_even_twist_past_any_bound(monkeypatch):
+    # next_member reads the bound through doubled_growth, so patching it
+    # reaches every bound, not only those of real members.
+    bound = 0
+    monkeypatch.setattr(obstruction, "doubled_growth", lambda m: bound)
+    prefix = fam((2, 2, 3))
+    n = 2
+    for bound in range(200_000):
+        while 6 * (6 * n - 1) <= bound:  # the least even n only grows with the bound
+            n += 2
+        assert next_member(prefix) == SatelliteParams(n, 2, 3)
+    rng = random.Random(1040)
+    for _ in range(2000):
+        bound = rng.randrange(10**40)
+        assert next_member(prefix) == SatelliteParams(_least_even_twist_above(bound), 2, 3)
 
 
 def test_next_member_validates_fix_n():

@@ -1,19 +1,22 @@
 """Rules that live in one place, and facts that hold without a runtime check.
 
-The (p, q, k) validation, the twist rule and the orientation rule are each
-one helper called from every site that takes such a value, and the package
-source holds no assert
-statement: asserts vanish under python -O, so runtime invariants are
+The integer rule, the (p, q, k) validation, the twist rule and the
+orientation rule are each one helper called from every site that takes such
+a value; a form's dimension >= 1 belongs to the SymIntMatrix constructor and
+Z's crossing count >= 1 to CobordismRecord.  The package source holds no
+assert statement: asserts vanish under python -O, so runtime invariants are
 explicit domain errors, and facts that hold by construction are checked
 here instead.
 """
 
 import ast
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,26 +24,40 @@ from hypothesis import strategies as st
 from knotcert import (
     KILL_LONGITUDE,
     KILL_MERIDIAN,
+    THREE_SPHERE,
+    BoundaryComponent,
     BranchedCover,
     BrieskornSphere,
+    CobordismLabel,
+    CobordismRecord,
     Family,
+    H1Data,
     InvalidParams,
     SatelliteParams,
     Slope,
+    SymIntMatrix,
     TorusGluingMap,
     TorusLinkExterior,
     UnsupportedSlope,
+    assemble_X,
     build_R,
+    build_Z,
+    certify_family,
+    compactness_check,
+    doubled_growth,
     furuta_chain_check,
+    generate_family,
     lens_cs_lower_bound,
     moser_identify,
     next_member,
     pontryagin_number,
     post_surgery_gluing,
     slope_from_filling,
+    smith_normal_form,
     tau_brieskorn_family,
 )
 from knotcert import cobordisms
+from knotcert.cs_invariants import _validate_ints
 
 SETTINGS = settings(max_examples=60, deadline=None)
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "knotcert"
@@ -120,6 +137,75 @@ def test_every_site_applies_the_same_orientation_rule(o):
         else:
             with pytest.raises(InvalidParams, match=f"^{name} must be \\+1 or -1$"):
                 fn(o)
+
+
+TREFOIL = SatelliteParams(2, 2, 3)
+PAIR = Family((TREFOIL, SatelliteParams(2, 2, 5)))
+
+# (entry point, an integer it accepts in the slot under test).
+INTEGER_SITES = [
+    ("SymIntMatrix", lambda x: SymIntMatrix(((x,),)), 2),
+    ("smith_normal_form", lambda x: smith_normal_form([[x]]), 2),
+    ("BrieskornSphere", lambda x: BrieskornSphere(x, 3, 5), 2),
+    ("BrieskornSphere orientation", lambda x: BrieskornSphere(2, 3, 5, x), 1),
+    ("TorusGluingMap", lambda x: TorusGluingMap(((1, x), (0, 1))), 2),
+    ("assemble_X", lambda x: assemble_X(PAIR, [1, x]), 2),
+    ("certify_family", lambda x: certify_family(PAIR, [1, x]), 2),
+    ("SatelliteParams n", lambda x: SatelliteParams(x, 2, 3), 2),
+    ("SatelliteParams p", lambda x: SatelliteParams(2, x, 3), 2),
+    ("BranchedCover", lambda x: BranchedCover(TREFOIL, x), 1),
+    ("TorusLinkExterior", TorusLinkExterior, 2),
+    ("next_member fix_n", lambda x: next_member(PAIR, fix_n=x), 2),
+    ("post_surgery_gluing sign", lambda x: post_surgery_gluing(2, x), 1),
+    ("moser_identify", lambda x: moser_identify(x, 3, Slope(1, 0)), 2),
+    ("tau", lambda x: tau_brieskorn_family(2, 3, x), 2),
+    ("p1", lambda x: pontryagin_number(x, 3, 1), 2),
+    ("lens bound", lambda x: lens_cs_lower_bound(2, x, 1), 3),
+    ("compactness_check terminal", lambda x: compactness_check([], (2, 5, x)), 2),
+    ("compactness_check boundary", lambda x: compactness_check([(2, 3, x)], (2, 5, 2)), 1),
+    ("furuta_chain_check", lambda x: furuta_chain_check([(2, 3, x)]), 1),
+    ("Slope", lambda x: Slope(1, x), 2),
+    ("H1Data", lambda x: H1Data(x, 1), 2),
+    ("BoundaryComponent", lambda x: BoundaryComponent(THREE_SPHERE, x), 2),
+    ("CobordismRecord handle_count", lambda x: CobordismRecord(CobordismLabel.Z, TREFOIL, x), 2),
+    ("CobordismRecord orientation", lambda x: CobordismRecord(CobordismLabel.R, TREFOIL, 2, x), 1),
+    ("build_Z", lambda x: build_Z(TREFOIL, x), 2),
+    ("generate_family count", lambda x: generate_family(TREFOIL, x), 2),
+]
+
+
+@pytest.mark.parametrize("site, fn, v", INTEGER_SITES, ids=[site[0] for site in INTEGER_SITES])
+def test_every_site_applies_the_same_integer_rule(site, fn, v):
+    fn(v)
+    fn(numpy.int64(v))
+    for bad in (float(v), v + 0.5, str(v), Fraction(v)):
+        with pytest.raises(InvalidParams, match=f" must be an integer, got {re.escape(repr(bad))}$"):
+            fn(bad)
+
+
+def test_the_integer_rule_stores_ints_and_reads_an_iterator_once():
+    assert _validate_ints(iter([True, numpy.int64(-3), 2**70]), "x") == [1, -3, 2**70]
+    with pytest.raises(InvalidParams, match=r"^count must be an integer, got 2\.5$"):
+        _validate_ints(iter([1, 2.5, "3"]), "count")
+    values = [
+        SatelliteParams(numpy.int64(2), numpy.int64(2), numpy.int64(3)).n,
+        SymIntMatrix(((numpy.int64(2),),)).entries[0][0],
+        BranchedCover(TREFOIL, True).orientation,
+        H1Data(numpy.int64(4), numpy.int64(1)).beta,
+        certify_family(PAIR, numpy.array([1, 1])).coefficients_tested[0],
+    ]
+    assert [type(v) for v in values] == [int] * len(values)
+    # A NumPy integer kept as given would wrap at 64 bits in the growth products.
+    big = SatelliteParams(numpy.int64(2**58), numpy.int64(2), numpy.int64(3))
+    assert doubled_growth(big) == doubled_growth(SatelliteParams(2**58, 2, 3))
+
+
+def test_Z_crossing_count_rule_lives_in_the_record():
+    message = "^crossing count must be >= 1, got 0$"
+    with pytest.raises(InvalidParams, match=message):
+        build_Z(TREFOIL, 0)
+    with pytest.raises(InvalidParams, match=message):
+        CobordismRecord(CobordismLabel.Z, TREFOIL, 0)
 
 
 @SETTINGS
