@@ -433,11 +433,16 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         return 2, f"usage error: format {fmt!r} not supported here (allowed: {', '.join(args.formats)})"
     try:
         code, payload, text = args.handler(args)
-        return code, _dump(payload) if fmt == "json" else text()
     except UsageError as exc:
         return 2, f"usage error: {exc}"
     except KnotcertError as exc:
         return 1, f"{type(exc).__name__}: {exc}"
+    try:
+        return code, _dump(payload) if fmt == "json" else text()
+    except ValueError as exc:
+        # Rendering only turns values into text, so this is str() of an int
+        # past the interpreter's digit limit (sys.get_int_max_str_digits).
+        return 1, f"InvalidParams: an output integer is too long to print: {exc}"
 
 
 def main() -> None:

@@ -43,7 +43,7 @@ class SatelliteParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _validate_twist(self.n))
-        p, q, _ = _validate_triple(self.p, self.q)
+        p, q, _ = _validate_triple((self.p, self.q, 1))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -158,6 +158,7 @@ class CoverDecomposition:
 
 def pattern_gluing_map(n: int) -> TorusGluingMap:
     """The identification mu_K -> -n*mu_A + lambda_A, lambda_K -> mu_A."""
+    n = _validate_twist(n)
     return TorusGluingMap(((-n, 1), (1, 0)))
 
 
@@ -173,7 +174,7 @@ def post_surgery_gluing(n: int, handle_sign: int) -> TorusGluingMap:
 
         mu_K -> m + (-n - sign*n) * l,   lambda_K -> l.
     """
-    handle_sign = _validate_sign(handle_sign, "handle_sign")
+    n, handle_sign = _validate_twist(n), _validate_sign(handle_sign, "handle_sign")
     unlink_frame = TorusGluingMap(((1, -handle_sign * n), (0, 1)))
     meridian_longitude_swap = TorusGluingMap(((0, 1), (1, 0)))
     return meridian_longitude_swap.compose(unlink_frame.compose(pattern_gluing_map(n)))
@@ -215,7 +216,7 @@ def moser_identify(p: int, q: int, s: Slope) -> BrieskornSphere | ThreeSphere:
     slope is outside the family this library handles and raises
     UnsupportedSlope.
     """
-    p, q, _ = _validate_triple(p, q)
+    p, q, _ = _validate_triple((p, q, 1))
     if s == Slope(1, 0):
         return THREE_SPHERE
     if s.a == 1 and s.b >= 1:

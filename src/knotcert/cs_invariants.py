@@ -28,9 +28,12 @@ def _validate_ints(values: Iterable, name: str) -> list[int]:
         raise InvalidParams(f"{name} must be an integer, got {bad!r}") from None
 
 
-def _validate_triple(p: int, q: int, k: int = 1) -> list[int]:
-    """The one rule for (p, q, k): ints, p, q >= 2 coprime, k >= 1 (omitted for a pair)."""
-    p, q, k = _validate_ints((p, q, k), "each of p, q, k")
+def _validate_triple(triple: Sequence[int]) -> list[int]:
+    """The one rule for (p, q, k): three ints, p, q >= 2 coprime, k >= 1 (k = 1 for a pair)."""
+    values = _validate_ints(triple, "each of p, q, k")
+    if len(values) != 3:
+        raise InvalidParams(f"(p, q, k) needs three entries, got {tuple(values)}")
+    p, q, k = values
     if p < 2 or q < 2:
         raise InvalidParams(f"p, q must be >= 2, got ({p}, {q})")
     if math.gcd(p, q) != 1:
@@ -103,21 +106,21 @@ class H1Data:
 
 def tau_brieskorn_family(p: int, q: int, k: int) -> TauValue:
     """tau(Sigma(p, q, k*p*q - 1)) = 1 / (p*q*(k*p*q - 1)), exactly."""
-    p, q, k = _validate_triple(p, q, k)
+    p, q, k = _validate_triple((p, q, k))
     return TauValue(Fraction(1, _growth(p, q, k)))
 
 
 def pontryagin_number(p: int, q: int, k: int) -> Fraction:
     """Relative Pontryagin number of the adapted bundle over the mapping-
     cylinder piece for Sigma(p, q, k*p*q - 1): 1 / (p*q*(k*p*q - 1)) < 4."""
-    p, q, k = _validate_triple(p, q, k)
+    p, q, k = _validate_triple((p, q, k))
     return Fraction(1, _growth(p, q, k))
 
 
 def lens_cs_lower_bound(p: int, q: int, k: int) -> Fraction:
     """Lower bound for the minimal Chern-Simons invariant of the lens spaces
     surrounding the three singular fibers: min{1/p, 1/q, 1/(k*p*q - 1)}."""
-    p, q, k = _validate_triple(p, q, k)
+    p, q, k = _validate_triple((p, q, k))
     return min(Fraction(1, p), Fraction(1, q), Fraction(1, k * p * q - 1))
 
 
@@ -167,14 +170,14 @@ def compactness_check(
     bubbling), p1 < the lens-space Chern-Simons bound, and p1 < tau of every
     boundary sphere (no breaking).  All comparisons are exact and reported.
     """
-    pN, qN, kN = terminal
+    pN, qN, kN = _validate_triple(terminal)
     p1 = pontryagin_number(pN, qN, kN)
     lens = lens_cs_lower_bound(pN, qN, kN)
     checks = [
         CompactnessCheck("p1 < 4 (no bubbling)", p1, Fraction(4)),
         CompactnessCheck(f"p1 < lens bound({pN},{qN},{kN})", p1, lens),
     ]
-    for p, q, k in boundary:
+    for p, q, k in map(_validate_triple, boundary):
         tau = tau_brieskorn_family(p, q, k).value
         checks.append(CompactnessCheck(f"p1 < tau({p},{q},{k})", p1, tau))
     return CompactnessReport(tuple(checks))

@@ -113,10 +113,10 @@ class SNFResult:
     right: tuple[tuple[int, ...], ...]
 
 
-def _argmin_abs_nonzero(a: list[list[int]], t: int) -> tuple[int, int] | None:
+def _argmin_abs_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
     best = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[0])):
+    for i in range(t, nr):
+        for j in range(t, nc):
             v = abs(a[i][j])
             if v and (best is None or v < best[0]):
                 best = (v, i, j)
@@ -129,54 +129,40 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:
     Classic pivot-and-reduce algorithm: repeatedly move a least-magnitude
     entry to the pivot position, run Euclidean reduction on its row and
     column, then absorb any entry of the remaining block that the pivot
-    fails to divide.  Every row operation is mirrored on the left transform
-    and every column operation on the right one, so left @ A @ right equals
-    the diagonal result exactly.
+    fails to divide.  The transforms ride in the matrix being reduced: row i
+    of A is extended by row i of I_nr, which becomes row i of left, and the
+    rows of I_nc stacked below become right.  Row operations act on the top
+    rows and column operations on the first nc columns, so left @ A @ right
+    equals the diagonal result by construction.
     """
-    a = [_validate_ints(row, "a matrix entry") for row in m]
-    if not a or not a[0]:
+    rows = [_validate_ints(row, "a matrix entry") for row in m]
+    if not rows or not rows[0]:
         raise InvalidParams("matrix must have at least one row and one column")
-    nr, nc = len(a), len(a[0])
-    if any(len(row) != nc for row in a):
+    nr, nc = len(rows), len(rows[0])
+    if any(len(row) != nc for row in rows):
         raise InvalidParams("matrix is not rectangular")
-
-    left = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    right = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
+    a = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(rows)]
+    a += [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def add_row(dst: int, src: int, mult: int) -> None:
         a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + mult * y for x, y in zip(left[dst], left[src])]
 
     def add_col(dst: int, src: int, mult: int) -> None:
         for row in a:
             row[dst] += mult * row[src]
-        for row in right:
-            row[dst] += mult * row[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
 
     t = 0
     rank_bound = min(nr, nc)
     while t < rank_bound:
-        pos = _argmin_abs_nonzero(a, t)
+        pos = _argmin_abs_nonzero(a, t, nr, nc)
         if pos is None:
             break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
+        i, j = pos
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         piv = a[t][t]
         for i in range(t + 1, nr):
             q = a[i][t] // piv
@@ -201,11 +187,10 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:
             continue
         t += 1
 
-    diagonal = tuple(a[i][i] for i in range(rank_bound))
     return SNFResult(
-        diagonal=diagonal,
-        left=tuple(tuple(row) for row in left),
-        right=tuple(tuple(row) for row in right),
+        diagonal=tuple(a[i][i] for i in range(rank_bound)),
+        left=tuple(tuple(row[nc:]) for row in a[:nr]),
+        right=tuple(tuple(row) for row in a[nr:]),
     )
 
 

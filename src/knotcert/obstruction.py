@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Sequence
 
 from .cobordisms import (
@@ -103,12 +103,28 @@ class AssembledManifold:
 
 @dataclass(frozen=True)
 class IndependenceCertificate:
+    """Chain checks over consecutive members and the boundary of X for a combination
+    (all ones if none), both derived from the family and combination at construction."""
+
     family: Family
-    chain_checks: tuple[ChainCheck, ...]
-    coefficients_tested: tuple[int, ...] | None
-    assembled_boundary: tuple[BoundaryComponent, ...]
+    coefficients_tested: tuple[int, ...] | None = None
+    chain_checks: tuple[ChainCheck, ...] = field(init=False)
+    assembled_boundary: tuple[BoundaryComponent, ...] = field(init=False)
     total_form_definiteness: ClassVar[Definiteness] = Definiteness.NEGATIVE_DEFINITE
     h1_z2_trivial: ClassVar[bool] = True
+
+    def __post_init__(self) -> None:
+        tested, members = self.coefficients_tested, self.family.members
+        if tested is not None:
+            tested = tuple(_validate_ints(tested, "a coefficient"))
+            object.__setattr__(self, "coefficients_tested", tested)
+        checks = tuple(
+            ChainCheck(i + 1, doubled_growth(members[i]), single_growth(members[i + 1]))
+            for i in range(len(members) - 1)
+        )
+        object.__setattr__(self, "chain_checks", checks)
+        assembled = assemble_X(self.family, [1] * len(members) if tested is None else tested)
+        object.__setattr__(self, "assembled_boundary", assembled.boundary)
 
     @property
     def verdict(self) -> Verdict:
@@ -128,7 +144,7 @@ def single_growth(m: SatelliteParams) -> int:
 def furuta_chain_check(triples: Sequence[Sequence[int]]) -> list[bool]:
     """Strict growth p_i q_i (k_i p_i q_i - 1) < p_{i+1} q_{i+1} (...) for
     each consecutive pair of (p, q, k) triples; exact integer comparisons."""
-    sizes = [_growth(*_validate_triple(p, q, k)) for p, q, k in triples]
+    sizes = [_growth(*_validate_triple(t)) for t in triples]
     return [sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)]
 
 
@@ -199,19 +215,7 @@ def certify_family(
     coefficients unless an explicit combination is supplied, in which case
     that combination is assembled (and recorded) instead.
     """
-    members = f.members
-    checks = tuple(
-        ChainCheck(i + 1, doubled_growth(members[i]), single_growth(members[i + 1]))
-        for i in range(len(members) - 1)
-    )
-    tested = None if coefficients is None else tuple(_validate_ints(coefficients, "a coefficient"))
-    assembled = assemble_X(f, [1] * len(members) if tested is None else tested)
-    return IndependenceCertificate(
-        family=f,
-        chain_checks=checks,
-        coefficients_tested=tested,
-        assembled_boundary=assembled.boundary,
-    )
+    return IndependenceCertificate(f, coefficients)
 
 
 def _coprime_pairs() -> Iterable[tuple[int, int]]:

@@ -241,6 +241,27 @@ def test_domain_errors_exit_1_with_error_name():
     assert out.startswith("AllZeroCoefficients:")
 
 
+def test_certify_text_names_the_first_failing_pair():
+    # Pairs 1 and 2 both fail; the verdict is the first of them.
+    code, out = run("certify", "--family", "2,2,5;2,2,3;2,2,3", "--format", "text")
+    assert code == 1
+    assert out.splitlines()[-1] == "verdict: CriterionFails(1)"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="the interpreter prints integers of any length",
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_integer_past_the_digit_limit_is_a_domain_error(fmt):
+    # k has as many digits as the interpreter reads, so tau's denominator
+    # has about twice as many as it prints.
+    k = str(10 ** (sys.get_int_max_str_digits() - 1) + 1)
+    code, out = run("tau", "2", k, "1", "--format", fmt)
+    assert code == 1
+    assert out.startswith("InvalidParams: an output integer is too long to print")
+
+
 def test_usage_errors_exit_2():
     assert run("nonsense")[0] == 2
     assert run("tau", "2", "3")[0] == 2

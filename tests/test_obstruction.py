@@ -40,6 +40,7 @@ def test_furuta_chain_examples():
     assert furuta_chain_check([(2, 3, 1), (2, 5, 2)]) == [True]  # 30 < 190
     assert furuta_chain_check([(2, 5, 2), (2, 3, 1)]) == [False]
     assert furuta_chain_check([(2, 3, 1)]) == []
+    assert furuta_chain_check([(2, 3, 1), (2, 3, 1)]) == [False]  # the inequality is strict
 
 
 def test_furuta_chain_validates_triples():
@@ -95,16 +96,40 @@ def test_verdict_is_keyword_only():
         Verdict(True)
 
 
-def test_hand_built_certificate_derives_its_verdict_from_the_checks():
-    cert = IndependenceCertificate(
-        family=fam((2, 2, 3), (2, 2, 5), (2, 3, 5)),
-        chain_checks=(ChainCheck(1, 138, 190), ChainCheck(2, 435, 390)),
-        coefficients_tested=None,
-        assembled_boundary=(),
-    )
-    assert cert.verdict == Verdict(failing_index=2)
-    assert str(cert.verdict) == "CriterionFails(2)"
+def test_verdict_names_the_first_of_several_failing_pairs():
+    cert = certify_family(fam((2, 2, 5), (2, 2, 3), (2, 2, 3)))
+    assert [c.ok for c in cert.chain_checks] == [False, False]
+    assert cert.verdict == Verdict(failing_index=1)
+    assert str(cert.verdict) == "CriterionFails(1)"
     assert cert.total_form_definiteness is Definiteness.NEGATIVE_DEFINITE
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (2, 5), (3, 4), (3, 5)]),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.sampled_from([None, 2, 4]),
+    st.data(),
+)
+def test_certificate_is_a_function_of_its_family_and_combination(pq, half_n, count, fix_n, data):
+    f = generate_family(SatelliteParams(2 * half_n, *pq), count, fix_n=fix_n)
+    assert IndependenceCertificate(f) == certify_family(f)
+    cs = data.draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count).filter(any))
+    cert = IndependenceCertificate(f, cs)
+    assert cert == certify_family(f, cs)
+    assert cert.coefficients_tested == tuple(cs)
+    pairs = zip(f.members, f.members[1:])
+    assert [(c.lhs, c.rhs) for c in cert.chain_checks] == [(doubled_growth(a), single_growth(b)) for a, b in pairs]
+    assert cert.assembled_boundary == assemble_X(f, cs).boundary
+
+
+def test_certificate_takes_no_derived_field():
+    f = fam((2, 2, 3), (2, 2, 5))
+    with pytest.raises(TypeError):
+        IndependenceCertificate(f, chain_checks=(ChainCheck(1, 138, 190),))
+    with pytest.raises(TypeError):
+        IndependenceCertificate(f, assembled_boundary=())
 
 
 def _coprime(rng):

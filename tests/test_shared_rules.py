@@ -1,8 +1,8 @@
 """Rules that live in one place, and facts that hold without a runtime check.
 
-The integer rule, the (p, q, k) validation, the twist rule and the
-orientation rule are each one helper called from every site that takes such
-a value; a form's dimension >= 1 belongs to the SymIntMatrix constructor and
+The integer rule, the (p, q, k) validation (its length included), the
+twist rule and the orientation rule are each one helper called from every
+site that takes such a value; a form's dimension >= 1 belongs to the SymIntMatrix constructor and
 Z's crossing count >= 1 to CobordismRecord.  The package source holds no
 assert statement: asserts vanish under python -O, so runtime invariants are
 explicit domain errors, and facts that hold by construction are checked
@@ -50,6 +50,7 @@ from knotcert import (
     lens_cs_lower_bound,
     moser_identify,
     next_member,
+    pattern_gluing_map,
     pontryagin_number,
     post_surgery_gluing,
     slope_from_filling,
@@ -103,6 +104,22 @@ def test_every_site_applies_the_same_triple_rule(p, q, k):
         assert 0 < pontryagin_number(p, q, k) <= Fraction(1, 30)
 
 
+@pytest.mark.parametrize("triple", [(2, 3), (2, 3, 1, 1)])
+@pytest.mark.parametrize(
+    "site",
+    [
+        lambda t: compactness_check([], t),
+        lambda t: compactness_check([t], (2, 5, 2)),
+        lambda t: furuta_chain_check([t]),
+        lambda t: furuta_chain_check([(2, 3, 1), t]),
+    ],
+    ids=["compactness terminal", "compactness boundary", "furuta_chain_check", "furuta_chain_check second"],
+)
+def test_the_triple_rule_checks_the_length(site, triple):
+    with pytest.raises(InvalidParams, match=re.escape(f"(p, q, k) needs three entries, got {triple}")):
+        site(triple)
+
+
 @SETTINGS
 @given(st.integers(-3, 12))
 def test_every_site_applies_the_same_twist_rule(n):
@@ -112,6 +129,8 @@ def test_every_site_applies_the_same_twist_rule(n):
         ("n", lambda n: SatelliteParams(n, 2, 3)),
         ("n", TorusLinkExterior),
         ("fix_n", lambda n: next_member(start, fix_n=n)),
+        ("n", pattern_gluing_map),
+        ("n", lambda n: post_surgery_gluing(n, 1)),
     ]
     for name, fn in sites:
         if ok:
