@@ -16,7 +16,10 @@ summaries, not handle-by-handle 4-manifold structures: downstream consumers
 need only boundaries, forms (carried as sign and size, materialised only
 on request), and flags.  A record is its label, parameters, handle count
 and orientation; both boundaries and the form's sign follow from those, so
-a reversed record cannot keep the boundary of the one it reverses.
+a reversed record cannot keep the boundary of the one it reverses.  The
+outgoing ends are stated in closed form, the Moser identification of each
+label's filling; knotcert.covers holds the gluing-map and slope derivation
+that the tests check every record against.
 """
 
 from __future__ import annotations
@@ -25,19 +28,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar, Union
 
-from .covers import (
-    KILL_LONGITUDE,
-    KILL_MERIDIAN,
-    BranchedCover,
-    SatelliteParams,
-    ThreeSphere,
-    moser_identify,
-    pattern_gluing_map,
-    post_surgery_gluing,
-    slope_from_filling,
-)
+from .covers import BranchedCover, SatelliteParams, ThreeSphere
 from .cs_invariants import _validate_ints, _validate_sign
-from .errors import InvalidParams, UnsupportedSlope
+from .errors import InvalidParams
 from .exactmath import SymIntMatrix
 from .fs_invariant import BrieskornSphere
 
@@ -80,7 +73,8 @@ class CobordismRecord:
 
     orientation is +1 for the cobordism as built and -1 for its reversal, and
     it fixes both boundaries: incoming is the cover with that orientation, and
-    outgoing, derived at construction from the label's filling, has every
+    outgoing, the closed form of the label's filling (one -Sigma(p, q, n*p*q - 1)
+    for Z, none for R, two copies of -Sigma(p, q, 2n*p*q - 1) for P), has every
     component reversed when orientation is -1.  So replace(record,
     orientation=-1) is the reversal.  R and P attach n handles; Z attaches
     one per crossing change, at least one.  The intersection form is
@@ -104,23 +98,17 @@ class CobordismRecord:
         if self.label is CobordismLabel.Z:
             if c < 1:
                 raise InvalidParams(f"crossing count must be >= 1, got {c}")
-            gluing, killed = pattern_gluing_map(s.n), KILL_LONGITUDE
-        else:
-            if c != s.n:
-                raise InvalidParams(f"{self.label} attaches n = {s.n} handles, got {c}")
-            # sign * orientation is the framing as built: -1 for R, +1 for P.
-            gluing, killed = post_surgery_gluing(s.n, self.sign * self.orientation), KILL_MERIDIAN
-        slope = slope_from_filling(gluing, killed)
-        space = moser_identify(s.p, s.q, slope)
+        elif c != s.n:
+            raise InvalidParams(f"{self.label} attaches n = {s.n} handles, got {c}")
+        # Moser: 1/k surgery on T_{p,q} is -Sigma(p, q, k*p*q - 1).  Z fills
+        # with 1/n, P fills both companion copies with 1/(2n), and R's 1/0
+        # filling is S^3, capped with a 4-ball: no outgoing boundary.
         if self.label is CobordismLabel.R:
-            # The filling is S^3, capped with a 4-ball: no outgoing boundary.
-            if not isinstance(space, ThreeSphere):
-                raise UnsupportedSlope(f"R filling slope {slope} yields {space}, not S^3")
             outgoing = ()
         else:
-            # Z ends at one sphere, P at two copies of one.
-            built = BoundaryComponent(space, 2 if self.label is CobordismLabel.P else 1)
-            outgoing = (built if self.orientation == 1 else built.reversed(),)
+            k, copies = (s.n, 1) if self.label is CobordismLabel.Z else (2 * s.n, 2)
+            sphere = BrieskornSphere(s.p, s.q, k * s.p * s.q - 1, orientation=-self.orientation)
+            outgoing = (BoundaryComponent(sphere, copies),)
         object.__setattr__(self, "outgoing", outgoing)
 
     @property
@@ -153,9 +141,8 @@ def build_Z(s: SatelliteParams, crossings: int | None = None) -> CobordismRecord
 
     crossings overrides the number of crossing changes used to unknot the
     companion (any positive-to-negative sequence works); the default is the
-    torus-knot unknotting number.  The outgoing sphere is computed honestly:
-    the filling slope 1/n is read off the pattern gluing map, then fed
-    through the Moser identification.
+    torus-knot unknotting number.  The outgoing sphere is the Moser
+    identification of the 1/n filling that the pattern gluing map induces.
     """
     c = default_crossing_count(s.p, s.q) if crossings is None else crossings
     return CobordismRecord(CobordismLabel.Z, s, c)

@@ -120,7 +120,11 @@ def pontryagin_number(p: int, q: int, k: int) -> Fraction:
 def lens_cs_lower_bound(p: int, q: int, k: int) -> Fraction:
     """Lower bound for the minimal Chern-Simons invariant of the lens spaces
     surrounding the three singular fibers: min{1/p, 1/q, 1/(k*p*q - 1)}."""
-    p, q, k = _validate_triple((p, q, k))
+    return _lens_bound(*_validate_triple((p, q, k)))
+
+
+def _lens_bound(p: int, q: int, k: int) -> Fraction:
+    """lens_cs_lower_bound's body, for a triple already validated."""
     return min(Fraction(1, p), Fraction(1, q), Fraction(1, k * p * q - 1))
 
 
@@ -169,17 +173,16 @@ def compactness_check(
     holds iff p1 := pontryagin_number(terminal) satisfies p1 < 4 (no
     bubbling), p1 < the lens-space Chern-Simons bound, and p1 < tau of every
     boundary sphere (no breaking).  All comparisons are exact and reported.
+    Each triple is validated once; p1 and each tau are 1/_growth of it.
     """
     pN, qN, kN = _validate_triple(terminal)
-    p1 = pontryagin_number(pN, qN, kN)
-    lens = lens_cs_lower_bound(pN, qN, kN)
+    p1 = Fraction(1, _growth(pN, qN, kN))
     checks = [
         CompactnessCheck("p1 < 4 (no bubbling)", p1, Fraction(4)),
-        CompactnessCheck(f"p1 < lens bound({pN},{qN},{kN})", p1, lens),
+        CompactnessCheck(f"p1 < lens bound({pN},{qN},{kN})", p1, _lens_bound(pN, qN, kN)),
     ]
     for p, q, k in map(_validate_triple, boundary):
-        tau = tau_brieskorn_family(p, q, k).value
-        checks.append(CompactnessCheck(f"p1 < tau({p},{q},{k})", p1, tau))
+        checks.append(CompactnessCheck(f"p1 < tau({p},{q},{k})", p1, Fraction(1, _growth(p, q, k))))
     return CompactnessReport(tuple(checks))
 
 

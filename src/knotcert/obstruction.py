@@ -118,10 +118,7 @@ class IndependenceCertificate:
         if tested is not None:
             tested = tuple(_validate_ints(tested, "a coefficient"))
             object.__setattr__(self, "coefficients_tested", tested)
-        checks = tuple(
-            ChainCheck(i + 1, doubled_growth(members[i]), single_growth(members[i + 1]))
-            for i in range(len(members) - 1)
-        )
+        checks = _chain_checks(map(doubled_growth, members[:-1]), map(single_growth, members[1:]))
         object.__setattr__(self, "chain_checks", checks)
         assembled = assemble_X(self.family, [1] * len(members) if tested is None else tested)
         object.__setattr__(self, "assembled_boundary", assembled.boundary)
@@ -145,7 +142,13 @@ def furuta_chain_check(triples: Sequence[Sequence[int]]) -> list[bool]:
     """Strict growth p_i q_i (k_i p_i q_i - 1) < p_{i+1} q_{i+1} (...) for
     each consecutive pair of (p, q, k) triples; exact integer comparisons."""
     sizes = [_growth(*_validate_triple(t)) for t in triples]
-    return [sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)]
+    return [c.ok for c in _chain_checks(sizes[:-1], sizes[1:])]
+
+
+def _chain_checks(lhs: Iterable[int], rhs: Iterable[int]) -> tuple[ChainCheck, ...]:
+    """The chain rule's one loop: lhs lists the left sides of all members but
+    the last, rhs the right sides of all but the first; pair i is 1-based."""
+    return tuple(ChainCheck(i, a, b) for i, (a, b) in enumerate(zip(lhs, rhs), 1))
 
 
 def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:

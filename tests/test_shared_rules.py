@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotcert import (
@@ -38,8 +38,8 @@ from knotcert import (
     SymIntMatrix,
     TorusGluingMap,
     TorusLinkExterior,
-    UnsupportedSlope,
     assemble_X,
+    build_P,
     build_R,
     build_Z,
     certify_family,
@@ -53,11 +53,12 @@ from knotcert import (
     pattern_gluing_map,
     pontryagin_number,
     post_surgery_gluing,
+    reverse_orientation,
     slope_from_filling,
     smith_normal_form,
     tau_brieskorn_family,
 )
-from knotcert import cobordisms
+from knotcert import cobordisms, covers
 from knotcert.cs_invariants import _validate_ints
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -241,7 +242,53 @@ def test_filling_slope_maps_to_the_killed_class(steps, flip, killed):
     assert g.apply((s.a, s.b)) in (killed, (-killed[0], -killed[1]))
 
 
-def test_R_refuses_a_cap_that_is_not_the_three_sphere(monkeypatch):
-    monkeypatch.setattr(cobordisms, "moser_identify", lambda p, q, s: BrieskornSphere(p, q, 11))
-    with pytest.raises(UnsupportedSlope):
-        build_R(SatelliteParams(2, 2, 3))
+@SETTINGS
+@given(
+    st.integers(1, 8).map(lambda h: 2 * h),
+    st.integers(2, 15),
+    st.integers(2, 15),
+    st.sampled_from([1, -1]),
+    st.integers(1, 6),
+)
+def test_every_record_states_the_ends_the_surgery_derivation_gives(n, p, q, orientation, crossings):
+    assume(gcd(p, q) == 1)
+    s = SatelliteParams(n, p, q)
+    # (label, handle count, gluing as built, killed class, copies of the end).
+    derivations = [
+        (CobordismLabel.Z, crossings, pattern_gluing_map(n), KILL_LONGITUDE, 1),
+        (CobordismLabel.R, n, post_surgery_gluing(n, -1), KILL_MERIDIAN, 0),
+        (CobordismLabel.P, n, post_surgery_gluing(n, +1), KILL_MERIDIAN, 2),
+    ]
+    for label, count, gluing, killed, copies in derivations:
+        space = moser_identify(p, q, slope_from_filling(gluing, killed))
+        record = CobordismRecord(label, s, count, orientation)
+        if label is CobordismLabel.R:
+            assert space == THREE_SPHERE
+            assert record.outgoing == ()
+        else:
+            built = BoundaryComponent(space, copies)
+            assert record.outgoing == (built if orientation == 1 else built.reversed(),)
+
+
+SURGERY_DERIVATION = ("pattern_gluing_map", "post_surgery_gluing", "slope_from_filling", "moser_identify")
+
+
+def test_records_and_certificates_never_run_the_surgery_derivation(monkeypatch):
+    params = [TREFOIL, SatelliteParams(4, 3, 5)]
+    family = generate_family(TREFOIL, 4)
+    coefficients = [1, -2, 0, 3]
+
+    def results():
+        records = [build(s) for s in params for build in (build_Z, build_R, build_P)]
+        return [*records, *map(reverse_orientation, records), certify_family(family, coefficients)]
+
+    expected = results()
+
+    def refuse(*args):
+        raise AssertionError("a record re-derived its boundary")
+
+    for name in SURGERY_DERIVATION:
+        monkeypatch.setattr(covers, name, refuse)
+        monkeypatch.setattr(cobordisms, name, refuse, raising=False)
+    assert results() == expected
+    assert any(b.space.orientation == 1 for b in expected[-1].assembled_boundary)
