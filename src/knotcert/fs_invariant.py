@@ -40,9 +40,10 @@ if TYPE_CHECKING:
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
 MAX_PRECISION_BITS = 4096
-# r_invariant's sum has sum(a_i - 1) terms, about 40 us each at 128 bits, so
-# the largest admitted sum takes about 4 s; larger ones fail with InvalidParams
-# (exit 1) instead of running for hours.
+# r_invariant's sum has sum(a_i - 1) terms, about 39 us each at 128 bits on a
+# 2-core Xeon, so the largest admitted sums take about 3.9 s (Sigma(2,3,99997)
+# and Sigma(3,5,99992)); larger ones fail with InvalidParams (exit 1) instead
+# of running for hours.
 MAX_COTANGENT_TERMS = 100_000
 
 
@@ -106,14 +107,25 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
 
     With b = a/a_i, the outer argument a*k/a_i^2 = b*k/a_i is reduced mod 1
     in integers first (cot is pi-periodic), which is what keeps the
-    evaluation stable for large products a1*a2*a3.  When gcd(k, a_i) = 1 the
-    reduced argument is the inner argument of k' = b*k mod a_i, so one table
-    of cot(pi*j/a_i) serves both cotangent factors.
+    evaluation stable for large products a1*a2*a3.  One pass per a_i builds
+    the angle pi*j/a_i once for each j and derives from it both cot(pi*j/a_i)
+    and sin(pi*j/a_i)^2 (s*s is the correctly rounded square, as s**2 is).
+
+    The outer factor is read from the cot table whenever g = gcd(k, a_i) is a
+    power of two, 2^m.  The expression reduces b*k/a_i to lowest terms,
+    j'/d, and evaluates pi*j'/d; the table holds pi*(2^m*j')/(2^m*d).  These
+    are the same float bit for bit: scaling by 2^m commutes with binary
+    rounding, so the rounded pi*2^m*j' is 2^m times the rounded pi*j', and
+    dividing by 2^m*d gives the correctly rounded quotient of the same real
+    as dividing pi*j' by d.  An odd factor of g does not commute with
+    rounding, so those k evaluate the reduced angle directly.  The second
+    table costs about 150 B per term at 128 bits, about 15 MB at the term
+    budget of r_invariant.
     """
     import mpmath
     from mpmath.libmp import (
-        fone, fzero, from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_pi, mpf_pos,
-        mpf_pow_int, mpf_sin, mpf_tan, round_nearest,
+        fone, fzero, from_int, mpf_add, mpf_cos_sin, mpf_div, mpf_mul, mpf_mul_int,
+        mpf_pi, mpf_pos, round_nearest,
     )
 
     rnd = round_nearest
@@ -124,25 +136,31 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
         return mpf_div(mpf_mul_int(pi, n, bits, rnd), from_int(d), bits, rnd)
 
     def cot(x):
-        return mpf_pos(mpf_div(fone, mpf_tan(x, guard, rnd), guard, rnd), bits, rnd)
+        # mpf_cos_sin(x, prec, rnd, 3) is mpf_tan, and (.., 2) is mpf_sin.
+        return mpf_pos(mpf_div(fone, mpf_cos_sin(x, guard, rnd, 3), guard, rnd), bits, rnd)
 
     a = a1 * a2 * a3
     total = mpf_div(from_int(2), from_int(a), bits, rnd)
     for ai in (a1, a2, a3):
         b = a // ai
-        cots = [fzero] + [cot(angle(j, ai)) for j in range(1, ai)]  # cots[0] is never read
+        cots = [fzero]  # index 0 is never read
+        sin2s = [fzero]
+        for j in range(1, ai):
+            x = angle(j, ai)
+            cots.append(cot(x))
+            s = mpf_cos_sin(x, bits, rnd, 2)
+            sin2s.append(mpf_mul(s, s, bits, rnd))
         inner = fzero
         for k in range(1, ai):
             g = math.gcd(k, ai)
-            if g == 1:
+            if g & (g - 1) == 0:
                 outer = cots[b * k % ai]
             else:
                 # In lowest terms b*k/a_i = (b*k/g)/d; its residue mod d is
                 # never 0, as a_i | b*k would force a_i | k.
                 d = ai // g
                 outer = cot(angle(b * k // g % d, d))
-            sin2 = mpf_pow_int(mpf_sin(angle(k, ai), bits, rnd), 2, bits, rnd)
-            term = mpf_mul(mpf_mul(outer, cots[k], bits, rnd), sin2, bits, rnd)
+            term = mpf_mul(mpf_mul(outer, cots[k], bits, rnd), sin2s[k], bits, rnd)
             inner = mpf_add(inner, term, bits, rnd)
         share = mpf_div(mpf_mul_int(inner, 2, bits, rnd), from_int(ai), bits, rnd)
         total = mpf_add(total, share, bits, rnd)

@@ -335,8 +335,9 @@ def test_bad_precision_is_usage_error():
         code, out = run(*argv)
         assert code == 2
         assert out.startswith("usage error: unrecognized arguments: --precision")
-    code, out = run("r-invariant", "2", "3", "5", "--tolerance", "0.7")
-    assert (code, out) == (2, "usage error: tolerance must lie in (0, 1/2), got 0.7")
+    for tolerance in ("0.7", "0.5"):
+        code, out = run("r-invariant", "2", "3", "5", "--tolerance", tolerance)
+        assert (code, out) == (2, f"usage error: tolerance must lie in (0, 1/2), got {tolerance}")
 
 
 def test_cobordism_refuses_forms_over_the_output_budget():

@@ -153,8 +153,15 @@ def test_term_budget_is_checked_before_any_sum(monkeypatch):
     [
         ({"tolerance": 0.7}, "tolerance must lie in (0, 1/2), got 0.7"),
         ({"tolerance": math.nan}, "tolerance must lie in (0, 1/2), got nan"),
+        ({"tolerance": 0.0}, "tolerance must lie in (0, 1/2), got 0.0"),
+        ({"tolerance": 0.5}, "tolerance must lie in (0, 1/2), got 0.5"),
+        ({"tolerance": -1e-9}, "tolerance must lie in (0, 1/2), got -1e-09"),
+        ({"tolerance": math.inf}, "tolerance must lie in (0, 1/2), got inf"),
     ],
-    ids=["tolerance-0.7", "tolerance-nan"],
+    ids=[
+        "tolerance-0.7", "tolerance-nan", "tolerance-0", "tolerance-0.5", "tolerance-negative",
+        "tolerance-inf",
+    ],
 )
 def test_r_invariant_validates_precision_and_tolerance(kwargs, message):
     with pytest.raises(InvalidParams) as exc:
@@ -168,8 +175,8 @@ def test_r_invariant_takes_no_precision():
         r_invariant(BrieskornSphere(2, 3, 7), precision_bits=256)
 
 
-# Composite multiplicities make gcd(k, a_i) > 1 for some k, the branch that
-# does not read the cotangent table.
+# Composite multiplicities make gcd(k, a_i) > 1 for some k: a power-of-two gcd
+# reads the cotangent table, a gcd with an odd part evaluates its own angle.
 COMPOSITES = (4, 8, 9, 16, 25, 27, 32, 49, 6, 10, 15, 21, 35, 55)
 
 
@@ -185,4 +192,19 @@ def coprime_triples_with_a_composite(draw):
 @settings(max_examples=60, deadline=None)
 @given(coprime_triples_with_a_composite(), st.sampled_from((53, 128, 256, 700, 4096)))
 def test_cotangent_sum_is_bit_identical_to_the_reference(triple, bits):
+    assert _cotangent_sum(*triple, bits)._mpf_ == cotangent_sum_reference(*triple, bits)._mpf_
+
+
+# Multiplicities far past the hypothesis draw, towards the sizes r_spectrum
+# runs.  1024 has only power-of-two gcds with k, which read the cot table;
+# 1000 = 2^3 * 5^3 and 96 = 2^5 * 3 mix those with gcds that have an odd part,
+# whose angles are evaluated directly.  Reading the table for every even gcd
+# moves 22 outer factors of Sigma(3, q, 1000) by an ulp, which changes the
+# 128-bit sum for q = 11 (for q = 7 the rounding absorbs it).
+@pytest.mark.parametrize(
+    "triple, bits",
+    [((3, 5, 1024), 128), ((3, 7, 1000), 128), ((3, 11, 1000), 128), ((5, 7, 96), 256)],
+    ids=["3-5-1024", "3-7-1000", "3-11-1000", "5-7-96"],
+)
+def test_cotangent_sum_is_bit_identical_to_the_reference_on_large_multiplicities(triple, bits):
     assert _cotangent_sum(*triple, bits)._mpf_ == cotangent_sum_reference(*triple, bits)._mpf_
