@@ -7,12 +7,19 @@ Fintushel-Stern cotangent sum
                     + sum_i (2/a_i) * sum_{k=1}^{a_i - 1}
                           cot(pi*a*k/a_i^2) * cot(pi*k/a_i) * sin^2(pi*k/a_i)
 
-with a = a1*a2*a3.  The sum is evaluated in multiprecision floating point
-and certified to round to an integer: if the residual exceeds the tolerance
-the working precision doubles, up to a hard cap, before the computation is
-rejected.  Trigonometric arguments are reduced modulo the period exactly, in
-integer arithmetic, so huge multiplicities do not leak precision, and one
-table of cot(pi*j/a_i) per multiplicity serves both cotangent factors.
+with a = a1*a2*a3.  Since cot(t)*sin^2(t) = sin(2t)/2, the terms at k and
+a_i - k are equal, and the term at k = a_i/2 is 0, the same sum over half
+the range is, with b_i = a/a_i,
+
+    R = 2/a + sum_i (2/a_i) * sum_{k=1}^{floor((a_i - 1)/2)}
+                  cot(pi*(b_i*k mod a_i)/a_i) * sin(2*pi*k/a_i).
+
+It is evaluated in multiprecision floating point and certified to round to
+an integer: if the residual exceeds the tolerance the working precision
+doubles, up to a hard cap, before the computation is rejected.
+Trigonometric arguments are reduced modulo the period exactly, in integer
+arithmetic, so huge multiplicities do not leak precision, and one table of
+cot(pi*j/a_i) per multiplicity serves both factors.
 
 The same value has a closed form in integers (Neumann-Zagier, "A note on an
 invariant of Fintushel and Stern", 1985):
@@ -20,7 +27,8 @@ invariant of Fintushel and Stern", 1985):
     R(a1, a2, a3) = 2/a + sum_i (a_i - 2*r_i)/a_i,   r_i = (a/a_i)^-1 mod a_i.
 
 r_exact evaluates it in O(log a); r_invariant checks its rounded sum against
-it, and refuses sums of more than MAX_COTANGENT_TERMS terms.
+it, and refuses sums of more than MAX_COTANGENT_TERMS terms, counted as
+sum(a_i - 1) over the full range.
 """
 
 from __future__ import annotations
@@ -40,10 +48,10 @@ if TYPE_CHECKING:
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
 MAX_PRECISION_BITS = 4096
-# r_invariant's sum has sum(a_i - 1) terms, about 39 us each at 128 bits on a
-# 2-core Xeon, so the largest admitted sums take about 3.9 s (Sigma(2,3,99997)
-# and Sigma(3,5,99992)); larger ones fail with InvalidParams (exit 1) instead
-# of running for hours.
+# r_invariant's sum has sum(a_i - 1) terms, evaluated in pairs at 10-15 us per
+# term at 128 bits on a 2-core Xeon, so the largest admitted sums take about
+# 1-1.5 s (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones fail with
+# InvalidParams (exit 1) instead of running for hours.
 MAX_COTANGENT_TERMS = 100_000
 
 
@@ -98,73 +106,51 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
     """Evaluate the index sum at the given binary precision.
 
     Exposed for tests; callers normally want r_invariant, which adds the
-    integrality certificate.  Every step is the libmp operation, precision
-    and rounding that mpmath's own expression (pi*k/a_i, cot, sin(.)**2, the
-    products and the running sums, all under workprec(bits)) performs, so the
-    result is that expression's bit for bit, without the wrapper layer.
-    (That needs every a_i below 2^bits, so that mpf(a_i) is exact; the term
-    budget of r_invariant keeps them far below.)
+    integrality certificate.  The sum runs over half its range (see the
+    module docstring), each libmp operation at `bits` bits, rounding to
+    nearest.  Its error stays below (a1 + a2 + a3) * 2^-bits, a bound the
+    tests assert against r_exact and against the full-range reference.
 
-    With b = a/a_i, the outer argument a*k/a_i^2 = b*k/a_i is reduced mod 1
-    in integers first (cot is pi-periodic), which is what keeps the
-    evaluation stable for large products a1*a2*a3.  One pass per a_i builds
-    the angle pi*j/a_i once for each j and derives from it both cot(pi*j/a_i)
-    and sin(pi*j/a_i)^2 (s*s is the correctly rounded square, as s**2 is).
-
-    The outer factor is read from the cot table whenever g = gcd(k, a_i) is a
-    power of two, 2^m.  The expression reduces b*k/a_i to lowest terms,
-    j'/d, and evaluates pi*j'/d; the table holds pi*(2^m*j')/(2^m*d).  These
-    are the same float bit for bit: scaling by 2^m commutes with binary
-    rounding, so the rounded pi*2^m*j' is 2^m times the rounded pi*j', and
-    dividing by 2^m*d gives the correctly rounded quotient of the same real
-    as dividing pi*j' by d.  An odd factor of g does not commute with
-    rounding, so those k evaluate the reduced angle directly.  The second
-    table costs about 150 B per term at 128 bits, about 15 MB at the term
-    budget of r_invariant.
+    With b = a/a_i, the outer argument b*k/a_i is reduced mod 1 in integers
+    first (cot is pi-periodic), which is what keeps the evaluation stable for
+    large products a1*a2*a3.  One table of cot(pi*j/a_i), j <= (a_i - 1)/2,
+    serves both factors.  b is a unit mod a_i, so for 0 < k < a_i/2 the
+    residue j = b*k mod a_i is neither 0 nor a_i/2 (an even a_i makes b odd,
+    and b*a_i/2 = a_i/2 mod a_i); past the half, cot(pi*j/a_i) is
+    -cot(pi*(a_i - j)/a_i).  Each entry costs one trigonometric evaluation,
+    as mpmath.cot makes it (one/tan with 10 guard bits), and
+    sin(2*pi*k/a_i) = 2*c/(1 + c^2) with c = cot(pi*k/a_i).
     """
     import mpmath
     from mpmath.libmp import (
         fone, fzero, from_int, mpf_add, mpf_cos_sin, mpf_div, mpf_mul, mpf_mul_int,
-        mpf_pi, mpf_pos, round_nearest,
+        mpf_neg, mpf_pi, mpf_pos, round_nearest,
     )
 
     rnd = round_nearest
     guard = bits + 10  # mpmath.cot evaluates one/tan with 10 guard bits
     pi = mpf_pi(bits, rnd)
-
-    def angle(n: int, d: int):
-        return mpf_div(mpf_mul_int(pi, n, bits, rnd), from_int(d), bits, rnd)
-
-    def cot(x):
-        # mpf_cos_sin(x, prec, rnd, 3) is mpf_tan, and (.., 2) is mpf_sin.
-        return mpf_pos(mpf_div(fone, mpf_cos_sin(x, guard, rnd, 3), guard, rnd), bits, rnd)
-
     a = a1 * a2 * a3
     total = mpf_div(from_int(2), from_int(a), bits, rnd)
     for ai in (a1, a2, a3):
         b = a // ai
+        half = (ai - 1) // 2
         cots = [fzero]  # index 0 is never read
-        sin2s = [fzero]
-        for j in range(1, ai):
-            x = angle(j, ai)
-            cots.append(cot(x))
-            s = mpf_cos_sin(x, bits, rnd, 2)
-            sin2s.append(mpf_mul(s, s, bits, rnd))
+        for j in range(1, half + 1):
+            x = mpf_div(mpf_mul_int(pi, j, bits, rnd), from_int(ai), bits, rnd)
+            tan = mpf_cos_sin(x, guard, rnd, 3)  # (.., 3) is mpf_tan
+            cots.append(mpf_pos(mpf_div(fone, tan, guard, rnd), bits, rnd))
         inner = fzero
-        for k in range(1, ai):
-            g = math.gcd(k, ai)
-            if g & (g - 1) == 0:
-                outer = cots[b * k % ai]
-            else:
-                # In lowest terms b*k/a_i = (b*k/g)/d; its residue mod d is
-                # never 0, as a_i | b*k would force a_i | k.
-                d = ai // g
-                outer = cot(angle(b * k // g % d, d))
-            term = mpf_mul(mpf_mul(outer, cots[k], bits, rnd), sin2s[k], bits, rnd)
-            inner = mpf_add(inner, term, bits, rnd)
+        for k in range(1, half + 1):
+            c = cots[k]
+            denominator = mpf_add(fone, mpf_mul(c, c, bits, rnd), bits, rnd)
+            sine = mpf_div(mpf_mul_int(c, 2, bits, rnd), denominator, bits, rnd)
+            j = b * k % ai
+            outer = cots[j] if j <= half else mpf_neg(cots[ai - j])
+            inner = mpf_add(inner, mpf_mul(outer, sine, bits, rnd), bits, rnd)
         share = mpf_div(mpf_mul_int(inner, 2, bits, rnd), from_int(ai), bits, rnd)
         total = mpf_add(total, share, bits, rnd)
-    return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))
+    return mpmath.mp.make_mpf(total)
 
 
 def _validate_tolerance(tolerance: float) -> None:
@@ -198,10 +184,12 @@ def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RVa
 
     The tolerance (0 < tolerance < 1/2) is the requirement; the working
     precision follows from it.  The sum starts at DEFAULT_PRECISION_BITS, or
-    more when the product a1*a2*a3 needs it, and doubles until the residual
-    clears the tolerance; RValue.precision_bits reports the bits used.  A bad
-    tolerance, and a sum of more than MAX_COTANGENT_TERMS terms, raise
-    InvalidParams before any floating-point work.  Raises IntegralityFailure
+    more when the product a1*a2*a3 needs it, doubled until 2^-bits is at most
+    the tolerance (a coarser pass could clear it only by landing exactly on
+    an integer), and capped at MAX_PRECISION_BITS.  It then doubles until the
+    residual clears the tolerance; RValue.precision_bits reports the bits
+    used.  A bad tolerance, and a sum of more than MAX_COTANGENT_TERMS terms,
+    raise InvalidParams before any floating-point work.  Raises IntegralityFailure
     if the residual still exceeds the tolerance at MAX_PRECISION_BITS (which
     signals a precision problem or invalid input, never a legitimately
     non-integral value), or if the rounded sum disagrees with r_exact.
@@ -219,7 +207,10 @@ def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RVa
 
     product = a1 * a2 * a3
     floor_bits = 50 + math.ceil(10 * math.log10(product))
-    bits = min(max(DEFAULT_PRECISION_BITS, floor_bits), MAX_PRECISION_BITS)
+    bits = max(DEFAULT_PRECISION_BITS, floor_bits)
+    while math.ldexp(1.0, -bits) > tolerance:
+        bits *= 2
+    bits = min(bits, MAX_PRECISION_BITS)
     while True:
         value = _cotangent_sum(a1, a2, a3, bits)
         with mpmath.workprec(bits):

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: the
 cotangent sum is evaluated directly in mpmath without rational argument
-reduction (and, as a frozen bit-for-bit reference, by the high-level mpmath
-expression the library used before it moved to mpmath.libmp), determinants use Fraction Gaussian elimination rather than the
+reduction (and, as a frozen accuracy reference, over its full range by the
+high-level mpmath expression the library used before it moved to
+mpmath.libmp), determinants use Fraction Gaussian elimination rather than the
 library's fraction-free scheme, definiteness is decided by brute-force
 quadratic-form evaluation, the 2x2 Smith form is found by breadth-first
 search over elementary unimodular operations, and chain successors come from
@@ -46,9 +47,9 @@ def r_oracle(a1: int, a2: int, a3: int, bits: int = 256):
 def cotangent_sum_reference(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
     """fs_invariant._cotangent_sum as it stood in knotcert 0.2.0, verbatim.
 
-    The library now performs the same operations on mpmath.libmp values;
-    its result must equal this one bit for bit, because the CLI prints the
-    sum's rounding noise.
+    The accuracy oracle: it sums all a_i - 1 terms per multiplicity with
+    mpmath's high-level functions at `bits`, and the library's half-range
+    libmp sum must lie within 2*(a1 + a2 + a3) ulps (2^-bits) of it.
     """
     a = a1 * a2 * a3
     with mpmath.workprec(bits):

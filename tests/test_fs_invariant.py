@@ -175,8 +175,9 @@ def test_r_invariant_takes_no_precision():
         r_invariant(BrieskornSphere(2, 3, 7), precision_bits=256)
 
 
-# Composite multiplicities make gcd(k, a_i) > 1 for some k: a power-of-two gcd
-# reads the cotangent table, a gcd with an odd part evaluates its own angle.
+# Composite multiplicities make gcd(k, a_i) > 1 for some k, where the reference
+# evaluates the outer angle in lowest terms and the kernel reads its table; an
+# even one also has the middle term k = a_i/2, which the half-range sum drops.
 COMPOSITES = (4, 8, 9, 16, 25, 27, 32, 49, 6, 10, 15, 21, 35, 55)
 
 
@@ -189,22 +190,60 @@ def coprime_triples_with_a_composite(draw):
     return draw(st.permutations((first, second, third)))
 
 
+def assert_within_error_bound(triple, bits):
+    """The kernel is within sum(a_i) ulps of R, and twice that of the reference."""
+    value = _cotangent_sum(*triple, bits)
+    exact = r_exact(BrieskornSphere(*triple))
+    reference = cotangent_sum_reference(*triple, bits)
+    with mpmath.workprec(bits + 64):  # both differences are exact
+        ulp = mpmath.ldexp(1, -bits)
+        assert abs(value - exact) <= sum(triple) * ulp
+        assert abs(value - reference) <= 2 * sum(triple) * ulp
+
+
 @settings(max_examples=60, deadline=None)
 @given(coprime_triples_with_a_composite(), st.sampled_from((53, 128, 256, 700, 4096)))
-def test_cotangent_sum_is_bit_identical_to_the_reference(triple, bits):
-    assert _cotangent_sum(*triple, bits)._mpf_ == cotangent_sum_reference(*triple, bits)._mpf_
+def test_cotangent_sum_is_within_its_error_bound(triple, bits):
+    assert_within_error_bound(triple, bits)
 
 
 # Multiplicities far past the hypothesis draw, towards the sizes r_spectrum
-# runs.  1024 has only power-of-two gcds with k, which read the cot table;
-# 1000 = 2^3 * 5^3 and 96 = 2^5 * 3 mix those with gcds that have an odd part,
-# whose angles are evaluated directly.  Reading the table for every even gcd
-# moves 22 outer factors of Sigma(3, q, 1000) by an ulp, which changes the
-# 128-bit sum for q = 11 (for q = 7 the rounding absorbs it).
+# runs: 1024 is a power of two, 1000 = 2^3 * 5^3 and 96 = 2^5 * 3 mix factors.
 @pytest.mark.parametrize(
     "triple, bits",
     [((3, 5, 1024), 128), ((3, 7, 1000), 128), ((3, 11, 1000), 128), ((5, 7, 96), 256)],
     ids=["3-5-1024", "3-7-1000", "3-11-1000", "5-7-96"],
 )
-def test_cotangent_sum_is_bit_identical_to_the_reference_on_large_multiplicities(triple, bits):
-    assert _cotangent_sum(*triple, bits)._mpf_ == cotangent_sum_reference(*triple, bits)._mpf_
+def test_cotangent_sum_is_within_its_error_bound_on_large_triples(triple, bits):
+    assert_within_error_bound(triple, bits)
+
+
+def test_cotangent_sum_makes_one_trig_call_per_pair_of_terms(monkeypatch):
+    calls = []
+    trig = mpmath.libmp.mpf_cos_sin
+
+    def counted(*args):
+        calls.append(args)
+        return trig(*args)
+
+    monkeypatch.setattr(mpmath.libmp, "mpf_cos_sin", counted)
+    _cotangent_sum(2, 3, 1001, 128)
+    assert len(calls) == 0 + 1 + 500  # sum of floor((a_i - 1)/2)
+
+
+def test_precision_starts_where_the_tolerance_can_be_met(monkeypatch):
+    attempts = []
+    kernel = fs_invariant._cotangent_sum
+
+    def recorded(a1, a2, a3, bits):
+        attempts.append(bits)
+        return kernel(a1, a2, a3, bits)
+
+    monkeypatch.setattr(fs_invariant, "_cotangent_sum", recorded)
+    s = BrieskornSphere(2, 3, 1001)
+    # 2^-128 is about 2.9e-39: a 128-bit pass cannot certify 1e-40.
+    assert r_invariant(s, tolerance=1e-40).precision_bits == 256
+    assert attempts == [256]
+    attempts.clear()
+    assert r_invariant(s).precision_bits == 128
+    assert attempts == [128]
