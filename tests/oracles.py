@@ -49,7 +49,7 @@ def cotangent_sum_reference(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
 
     The accuracy oracle: it sums all a_i - 1 terms per multiplicity with
     mpmath's high-level functions at `bits`, and the library's half-range
-    libmp sum must lie within 2*(a1 + a2 + a3) ulps (2^-bits) of it.
+    fixed-point sum must lie within 2*(a1 + a2 + a3) ulps (2^-bits) of it.
     """
     a = a1 * a2 * a3
     with mpmath.workprec(bits):

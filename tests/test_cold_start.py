@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-# The public names of the package as of 0.10.0 (59, as in 0.6.0).
+# The public names of the package as of 0.11.0 (59, as in 0.6.0).
 PUBLIC_NAMES = {
     "AllZeroCoefficients", "AssembledManifold", "BoundaryComponent", "BranchedCover",
     "BrieskornSphere", "ChainCheck", "CobordismLabel", "CobordismRecord",

@@ -104,8 +104,15 @@ def test_precision_escalates_until_tolerance_met():
 
 
 def test_integrality_failure_when_precision_capped(monkeypatch):
+    # The kernel lands on R itself, so a sum 2^-100 off R(2,3,7) = -1 stands
+    # in for one whose error no precision below the cap can clear.
+    def off_by_2_to_the_minus_100(a1, a2, a3, bits):
+        with mpmath.workprec(bits):
+            return mpmath.mpf(-1) + mpmath.ldexp(1, -100)
+
     monkeypatch.setattr(fs_invariant, "MAX_PRECISION_BITS", 128)
-    with pytest.raises(IntegralityFailure):
+    monkeypatch.setattr(fs_invariant, "_cotangent_sum", off_by_2_to_the_minus_100)
+    with pytest.raises(IntegralityFailure, match="exceeds tolerance 1e-45 at 128 bits"):
         r_invariant(BrieskornSphere(2, 3, 7), tolerance=1e-45)
 
 
@@ -190,15 +197,15 @@ def coprime_triples_with_a_composite(draw):
     return draw(st.permutations((first, second, third)))
 
 
-def assert_within_error_bound(triple, bits):
+def assert_within_error_bound(triple, bits, reference=True):
     """The kernel is within sum(a_i) ulps of R, and twice that of the reference."""
     value = _cotangent_sum(*triple, bits)
     exact = r_exact(BrieskornSphere(*triple))
-    reference = cotangent_sum_reference(*triple, bits)
     with mpmath.workprec(bits + 64):  # both differences are exact
         ulp = mpmath.ldexp(1, -bits)
         assert abs(value - exact) <= sum(triple) * ulp
-        assert abs(value - reference) <= 2 * sum(triple) * ulp
+        if reference:
+            assert abs(value - cotangent_sum_reference(*triple, bits)) <= 2 * sum(triple) * ulp
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,16 +216,22 @@ def test_cotangent_sum_is_within_its_error_bound(triple, bits):
 
 # Multiplicities far past the hypothesis draw, towards the sizes r_spectrum
 # runs: 1024 is a power of two, 1000 = 2^3 * 5^3 and 96 = 2^5 * 3 mix factors.
+# The last two are the largest sums the term budget admits, where the rotation
+# takes the most steps; there only r_exact is compared, as the reference
+# would take seconds.
 @pytest.mark.parametrize(
-    "triple, bits",
-    [((3, 5, 1024), 128), ((3, 7, 1000), 128), ((3, 11, 1000), 128), ((5, 7, 96), 256)],
-    ids=["3-5-1024", "3-7-1000", "3-11-1000", "5-7-96"],
+    "triple, bits, reference",
+    [
+        ((3, 5, 1024), 128, True), ((3, 7, 1000), 128, True), ((3, 11, 1000), 128, True),
+        ((5, 7, 96), 256, True), ((2, 3, 99997), 128, False), ((3, 5, 99992), 128, False),
+    ],
+    ids=["3-5-1024", "3-7-1000", "3-11-1000", "5-7-96", "2-3-99997", "3-5-99992"],
 )
-def test_cotangent_sum_is_within_its_error_bound_on_large_triples(triple, bits):
-    assert_within_error_bound(triple, bits)
+def test_cotangent_sum_is_within_its_error_bound_on_large_triples(triple, bits, reference):
+    assert_within_error_bound(triple, bits, reference)
 
 
-def test_cotangent_sum_makes_one_trig_call_per_pair_of_terms(monkeypatch):
+def test_cotangent_sum_makes_at_most_one_trig_call_per_multiplicity(monkeypatch):
     calls = []
     trig = mpmath.libmp.mpf_cos_sin
 
@@ -228,10 +241,12 @@ def test_cotangent_sum_makes_one_trig_call_per_pair_of_terms(monkeypatch):
 
     monkeypatch.setattr(mpmath.libmp, "mpf_cos_sin", counted)
     _cotangent_sum(2, 3, 1001, 128)
-    assert len(calls) == 0 + 1 + 500  # sum of floor((a_i - 1)/2)
+    assert len(calls) <= 3
 
 
-def test_precision_starts_where_the_tolerance_can_be_met(monkeypatch):
+@pytest.fixture
+def attempts(monkeypatch):
+    """The working precision of each kernel call, in order."""
     attempts = []
     kernel = fs_invariant._cotangent_sum
 
@@ -240,6 +255,10 @@ def test_precision_starts_where_the_tolerance_can_be_met(monkeypatch):
         return kernel(a1, a2, a3, bits)
 
     monkeypatch.setattr(fs_invariant, "_cotangent_sum", recorded)
+    return attempts
+
+
+def test_precision_starts_where_the_tolerance_can_be_met(attempts):
     s = BrieskornSphere(2, 3, 1001)
     # 2^-128 is about 2.9e-39: a 128-bit pass cannot certify 1e-40.
     assert r_invariant(s, tolerance=1e-40).precision_bits == 256
@@ -247,3 +266,32 @@ def test_precision_starts_where_the_tolerance_can_be_met(monkeypatch):
     attempts.clear()
     assert r_invariant(s).precision_bits == 128
     assert attempts == [128]
+
+
+def start_bits(triple, tolerance):
+    """r_invariant's start rule: the first doubling of max(128, floor_bits)
+    whose 2^-bits is at most the tolerance, capped at 4096."""
+    bits = max(128, 50 + math.ceil(10 * math.log10(math.prod(triple))))
+    while math.ldexp(1.0, -bits) > tolerance:
+        bits *= 2
+    return min(bits, 4096)
+
+
+def test_precision_bits_follow_the_start_rule_alone(attempts):
+    # The sum lands on R, so every call clears on its first pass and
+    # precision_bits does not depend on where the sum's last bits fall.
+    rng = random.Random(2020)
+    triples = [random_coprime_triple(rng, hi=400) for _ in range(24)]
+    for p, q in ((2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5), (5, 7), (7, 11)):
+        k = rng.randint(1, 4000 // (p * q))
+        triples += [(p, q, k * p * q - 1), (p, q, k * p * q + 1)]
+    for triple in triples:
+        s = BrieskornSphere(*triple)
+        for tolerance in (1e-6, 1e-20, 1e-38, 1e-40, 1e-60, 1e-80):
+            attempts.clear()
+            rv = r_invariant(s, tolerance)
+            bits = start_bits(triple, tolerance)
+            assert (rv.precision_bits, attempts) == (bits, [bits]), (triple, tolerance)
+            assert rv.residual <= mpmath.ldexp(1, -bits - 1)
+            if rv.rounded:
+                assert rv.residual == 0, (triple, tolerance)
