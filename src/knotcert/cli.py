@@ -26,11 +26,10 @@ from . import fs_invariant
 from .errors import InvalidParams, KnotcertError
 
 # Each handler imports the layer modules it calls, so a process pays only for
-# its own command (mpmath alone costs about 20 ms and only R uses it).
+# its own command.
 if TYPE_CHECKING:
     from . import cobordisms, obstruction
 
-NUMERIC_DIGITS = 30  # significant digits when printing multiprecision values
 # cobordism prints its dense n x n form; larger records fail with
 # InvalidParams (exit 1) instead of printing n^2 entries.
 MAX_FORM_HANDLES = 1024
@@ -126,28 +125,19 @@ def _dump(obj: dict) -> str:
 
 
 def _cmd_r_invariant(args):
-    import mpmath
-
     sphere = fs_invariant.BrieskornSphere(args.a1, args.a2, args.a3)
     tolerance = getattr(args, "tolerance", fs_invariant.DEFAULT_TOLERANCE)
     rv = fs_invariant.r_invariant(sphere, tolerance=tolerance)
-    numeric = mpmath.nstr(rv.numeric, NUMERIC_DIGITS)
-    residual = mpmath.nstr(rv.residual, 5)
-    payload = {
-        "multiplicities": sphere.multiplicities,
-        "numeric": numeric,
+    # numeric and residual are integers (R and 0), which float prints exactly,
+    # as "-1.0" and "0.0".  Text prints these fields, in this order.
+    fields = {
+        "numeric": str(float(rv.numeric)),
         "rounded": rv.rounded,
-        "residual": residual,
+        "residual": str(float(rv.residual)),
         "precision_bits": rv.precision_bits,
     }
-    return 0, payload, lambda: "\n".join(
-        [
-            f"numeric: {numeric}",
-            f"rounded: {rv.rounded}",
-            f"residual: {residual}",
-            f"precision_bits: {rv.precision_bits}",
-        ]
-    )
+    payload = {"multiplicities": sphere.multiplicities, **fields}
+    return 0, payload, lambda: "\n".join(f"{key}: {value}" for key, value in fields.items())
 
 
 def _cmd_tau(args):

@@ -15,44 +15,35 @@ the range is, with b_i = a/a_i,
                   cot(pi*(b_i*k mod a_i)/a_i) * sin(2*pi*k/a_i).
 
 It is evaluated in fixed-point integers at the working precision plus guard
-bits: per multiplicity, one trigonometric evaluation seeds a rotation that
-steps through the angles pi*j/a_i, and one table of cot(pi*j/a_i) serves
+bits: per multiplicity, integer series for cos and sin of pi/a_i seed a
+rotation through the angles pi*j/a_i, and one table of cot(pi*j/a_i) serves
 both factors.  The outer index is reduced modulo a_i exactly, so huge
-multiplicities do not leak precision, and the terms are summed exactly and
-rounded once, so the result is R itself.  r_invariant still certifies that
-it rounds to an integer: if the residual exceeds the tolerance the working
-precision doubles, up to a hard cap, before the computation is rejected.
+multiplicities do not leak precision, and the terms are summed exactly.
 
 The same value has a closed form in integers (Neumann-Zagier, "A note on an
 invariant of Fintushel and Stern", 1985):
 
     R(a1, a2, a3) = 2/a + sum_i (a_i - 2*r_i)/a_i,   r_i = (a/a_i)^-1 mod a_i.
 
-r_exact evaluates it in O(log a); r_invariant checks its rounded sum against
-it, and refuses sums of more than MAX_COTANGENT_TERMS terms, counted as
-sum(a_i - 1) over the full range.
+r_exact evaluates it in O(log a); r_invariant runs the sum once and
+certifies it against r_exact, and refuses sums of more than
+MAX_COTANGENT_TERMS terms, counted as sum(a_i - 1) over the full range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from fractions import Fraction
 
 from .cs_invariants import _validate_ints, _validate_sign
 from .errors import IntegralityFailure, InvalidParams
 
-# mpmath is imported inside the functions that evaluate R: loading it takes
-# about 20 ms, which every command that never evaluates R would pay.
-if TYPE_CHECKING:
-    import mpmath
-
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
-MAX_PRECISION_BITS = 4096
-# r_invariant's sum has sum(a_i - 1) terms, evaluated in pairs at about 1 us
+# r_invariant's sum has sum(a_i - 1) terms, evaluated in pairs at about 0.7 us
 # per term at 128 bits on a 2-core Xeon, so the largest admitted sums take
-# about 0.1 s (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones fail with
+# about 75 ms (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones fail with
 # InvalidParams (exit 1) instead of running for minutes.
 MAX_COTANGENT_TERMS = 100_000
 
@@ -98,54 +89,84 @@ class BrieskornSphere:
 class RValue:
     """A certified evaluation of R: numeric value, nearest integer, residual."""
 
-    numeric: mpmath.mpf
+    numeric: Fraction
     rounded: int
-    residual: mpmath.mpf
+    residual: Fraction
     precision_bits: int
 
 
-def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
-    """Evaluate the index sum at the given binary precision.
+def _pi(prec: int) -> int:
+    """pi * 2^prec rounded to nearest, by Machin's formula 16*atan(1/5) - 4*atan(1/239).
 
-    Exposed for tests; callers normally want r_invariant, which adds the
-    integrality certificate.  The sum runs over half its range (see the
-    module docstring) in fixed point: an integer x stands for x * 2^-f, with
-    f = bits + guard.  The terms are summed exactly as integers and rounded
-    once, to nearest at `bits` bits.  The result is R itself when R != 0 and
-    lies within 2^-(bits + 1) of 0 otherwise.
+    Both series run at p = prec + 20 bits with every term truncated once, so
+    pi is within 4*p + 40 units of 2^-p, under 2^-4 units of 2^-prec while
+    prec < 16,000: the result is within 9/16 units of pi * 2^prec.
+    """
+    p = prec + 20
+    total = 0
+    for x, weight in ((5, 16), (239, -4)):
+        power, n = (1 << p) // x, 1  # power = floor(2^p / x^n)
+        while power:
+            total += weight * (power // n) if n % 4 == 1 else -weight * (power // n)
+            power //= x * x
+            n += 2
+    return (total + (1 << 19)) >> 20
+
+
+def _seed(m: int, pi: int, f: int) -> tuple[int, int]:
+    """cos(pi/m) and sin(pi/m) in units of 2^-f, for m >= 3, given pi = _pi(f + 10):
+    one Taylor series at f + 10 bits, truncated to f bits."""
+    g = f + 10
+    t = pi // m
+    sums = [0, 0, 0, 0]  # the terms t^n/n! with n = 0, 1, 2, 3 mod 4
+    term, n = 1 << g, 0
+    while term:
+        sums[n % 4] += term
+        n += 1
+        term = (term * t >> g) // n
+    return (sums[0] - sums[2]) >> 10, (sums[1] - sums[3]) >> 10
+
+
+def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> Fraction:
+    """The index sum, exactly as summed in fixed point, within 2^-(bits + 2) of R.
+
+    Exposed for tests; callers normally want r_invariant, which certifies it.
+    The sum runs over half its range (see the module docstring) in fixed
+    point: an integer x stands for x * 2^-f, with f = bits + guard.
 
     For each multiplicity m = a_i with h = (m - 1) // 2 > 0 and t = pi/m,
-    one mpf_cos_sin call at f + 10 bits gives (cos_t, sin_t); the rotation
-    (c, s) <- ((c*cos_t - s*sin_t) >> f, (s*cos_t + c*sin_t) >> f) steps
-    through (cos j*t, sin j*t) for j <= h, and the table holds cot(j*t) =
-    (c << f) // s.  The table serves both factors.  The outer index
-    j = b*k mod m, b = a/m, is reduced in integers (cot is pi-periodic).  b is
-    a unit mod m, so for 0 < k < m/2, j is neither 0 nor m/2 (an even m makes
-    b odd, and b*m/2 = m/2 mod m); past the half, cot(j*t) is -cot((m - j)*t).
-    The inner factor is sin(2*k*t) = 2*c/(1 + c^2) with c = cot(k*t).
+    _seed gives (cos_t, sin_t) from pi = _pi(f + 10), computed once per call;
+    the rotation (c, s) <- ((c*cos_t - s*sin_t) >> f, (s*cos_t + c*sin_t) >> f)
+    steps through (cos j*t, sin j*t) for j <= h, and the table holds
+    cot(j*t) = (c << f) // s.  The table serves both factors.  The outer
+    index j = b*k mod m, b = a/m, is reduced in integers (cot is
+    pi-periodic).  b is a unit mod m, so for 0 < k < m/2, j is neither 0 nor
+    m/2 (an even m makes b odd, and b*m/2 = m/2 mod m); past the half,
+    cot(j*t) is -cot((m - j)*t).  The inner factor is sin(2*k*t) =
+    2*c/(1 + c^2) with c = cot(k*t).
 
     The guard is 2*L + 11 bits, L = max(a_i).bit_length().  In units of
-    u = 2^-f: (cos_t, sin_t) is within 2u of (cos t, sin t), so each rotation
-    step adds at most 5u to the error of (c, s), and step j is within 5*j*u.
-    Since sin(j*t) >= 2*j/m for j <= h, entry j of the table is within
-    5*m^2/j * u of cot(j*t).  The derivative of 2c/(1 + c^2) is at most
-    8*sin^2(k*t) near c = cot(k*t), and sin^2(k*t) * m^2/k <= pi*m, so the
-    inner factor is within 127*m*u.  |cot(j*t)| <= m/(2*j), so the term at k
-    is within 70*m^2/j * u, and since k -> j permutes 1..h, the sum over k is
-    within 70*m^2*(1 + ln m) * u.  Times 2/m, and over three multiplicities,
-    the error is at most 420*M*(1 + ln M) * u < 2^(2*L + 9) * u, M = max a_i,
-    which the guard makes less than 2^-(bits + 2).  Rounding to nearest at
-    `bits` bits then lands on R whenever R is a nonzero integer.  Measured
-    errors are at most about M * u, thousands of times below this bound.
+    u = 2^-f, with g = f + 10: t = pi // m is within 1.2 * 2^-g (see _pi).
+    Each Taylor term is truncated once, so with t < 1.05 its error stays
+    below 1.6 * 2^-g and the omitted tail below 2.6 * 2^-g: a series of N
+    terms gives cos_t and sin_t each within (0.8*N + 4.6) * 2^-g.  N < 1,270
+    for f <= 11,000 (r_invariant stays below 2,150 bits), so that is under u,
+    and dropping the 10 guard bits adds under u: (cos_t, sin_t) is within 2u
+    of (cos t, sin t).  Each rotation step then adds at most 5u to the error
+    of (c, s), and step j is within 5*j*u.  Since sin(j*t) >= 2*j/m for
+    j <= h, entry j of the table is within 5*m^2/j * u of cot(j*t).  The
+    derivative of 2c/(1 + c^2) is at most 8*sin^2(k*t) near c = cot(k*t),
+    and sin^2(k*t) * m^2/k <= pi*m, so the inner factor is within 127*m*u.
+    |cot(j*t)| <= m/(2*j), so the term at k is within 70*m^2/j * u, and
+    since k -> j permutes 1..h, the sum over k is within
+    70*m^2*(1 + ln m) * u.  Times 2/m, and over three multiplicities, the
+    error is at most 420*M*(1 + ln M) * u < 2^(2*L + 9) * u, M = max a_i,
+    which the guard makes less than 2^-(bits + 2).  Measured errors are at
+    most about M * u, thousands of times below this bound.
     """
-    import mpmath
-    from mpmath.libmp import (
-        from_int, from_rational, mpf_cos_sin, mpf_div, mpf_pi, round_nearest, to_fixed,
-    )
-
     a = a1 * a2 * a3
     f = bits + 2 * max(a1, a2, a3).bit_length() + 11
-    pi = mpf_pi(f + 20, round_nearest)
+    pi = _pi(f + 10)
     one = 1 << 2 * f
     numerator = 2 * one  # a * R, in units of 2^-2f
     for ai in (a1, a2, a3):
@@ -153,8 +174,7 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
         half = (ai - 1) // 2
         if not half:
             continue
-        t = mpf_div(pi, from_int(ai), f + 20, round_nearest)
-        cos_t, sin_t = (to_fixed(v, f) for v in mpf_cos_sin(t, f + 10, round_nearest))
+        cos_t, sin_t = _seed(ai, pi, f)
         c, s = cos_t, sin_t
         cots = [0] * (half + 1)  # index 0 is never read
         for j in range(1, half + 1):
@@ -170,17 +190,21 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> mpmath.mpf:
             else:
                 inner -= cots[ai - j] * sine
         numerator += 2 * b * inner
-    return mpmath.mp.make_mpf(from_rational(numerator, a << 2 * f, bits, round_nearest))
+    return Fraction(numerator, a << 2 * f)
 
 
-def _validate_tolerance(tolerance: float) -> None:
-    """The rule for an integrality tolerance.
+def _validate_tolerance(tolerance) -> None:
+    """The rule for an integrality tolerance: a real number in (0, 1/2).
 
-    A tolerance of 1/2 or more would certify any value: every residual from
-    the nearest integer is at most 1/2.
+    1/2 or more would certify any value, as no residual exceeds 1/2.  Reals
+    that compare with floats pass (float, int, Fraction, Decimal).
     """
-    if not 0 < tolerance < 0.5:
-        raise InvalidParams(f"tolerance must lie in (0, 1/2), got {tolerance}")
+    try:
+        valid = 0 < tolerance < 0.5
+    except (TypeError, ValueError, ArithmeticError):  # Decimal NaN is an ArithmeticError
+        valid = False
+    if not valid:
+        raise InvalidParams(f"tolerance must lie in (0, 1/2), got {tolerance!r}")
 
 
 def r_exact(s: BrieskornSphere) -> int:
@@ -202,17 +226,15 @@ def r_exact(s: BrieskornSphere) -> int:
 def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RValue:
     """R of a positively oriented Brieskorn sphere, certified to be integral.
 
-    The tolerance (0 < tolerance < 1/2) is the requirement; the working
-    precision follows from it.  The sum starts at DEFAULT_PRECISION_BITS, or
-    more when the product a1*a2*a3 needs it, doubled until 2^-bits is at most
-    the tolerance (a coarser pass could clear it only by landing exactly on
-    an integer), and capped at MAX_PRECISION_BITS.  It then doubles until the
-    residual clears the tolerance; RValue.precision_bits reports the bits
-    used.  A bad tolerance, and a sum of more than MAX_COTANGENT_TERMS terms,
-    raise InvalidParams before any floating-point work.  Raises IntegralityFailure
-    if the residual still exceeds the tolerance at MAX_PRECISION_BITS (which
-    signals a precision problem or invalid input, never a legitimately
-    non-integral value), or if the rounded sum disagrees with r_exact.
+    The tolerance (a real number in (0, 1/2)) sets the working precision,
+    RValue.precision_bits: DEFAULT_PRECISION_BITS, or more when a1*a2*a3
+    needs it, doubled until 2^-bits is at most the tolerance.  No cap is
+    needed: 2^-bits is a float, 0.0 from 1,075 bits on, and the term budget
+    keeps the start below 190 bits, so bits stay below 2,150.  The sum runs
+    once and must lie within its error bound 2^-(bits + 2) of r_exact, or
+    IntegralityFailure is raised (a broken kernel, never a non-integral R);
+    numeric, the sum rounded to a multiple of 2^-bits, is then R.  A bad
+    tolerance, or more than MAX_COTANGENT_TERMS terms, is InvalidParams.
     """
     _validate_tolerance(tolerance)
     exact = r_exact(s)
@@ -223,29 +245,17 @@ def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RVa
             f"R({a1},{a2},{a3}) needs {terms} cotangent terms, more than the budget of "
             f"{MAX_COTANGENT_TERMS}; its exact value (r_exact) is {exact}"
         )
-    import mpmath
-
     product = a1 * a2 * a3
     floor_bits = 50 + math.ceil(10 * math.log10(product))
     bits = max(DEFAULT_PRECISION_BITS, floor_bits)
     while math.ldexp(1.0, -bits) > tolerance:
         bits *= 2
-    bits = min(bits, MAX_PRECISION_BITS)
-    while True:
-        value = _cotangent_sum(a1, a2, a3, bits)
-        with mpmath.workprec(bits):
-            rounded = int(mpmath.nint(value))
-            residual = abs(value - rounded)
-        if residual <= tolerance:
-            if rounded != exact:
-                raise IntegralityFailure(
-                    f"R({a1},{a2},{a3}) rounds to {rounded} at {bits} bits, "
-                    f"but its exact value (r_exact) is {exact}"
-                )
-            return RValue(numeric=value, rounded=rounded, residual=residual, precision_bits=bits)
-        if bits >= MAX_PRECISION_BITS:
-            raise IntegralityFailure(
-                f"R({a1},{a2},{a3}) residual {mpmath.nstr(residual, 5)} exceeds "
-                f"tolerance {tolerance} at {bits} bits"
-            )
-        bits = min(2 * bits, MAX_PRECISION_BITS)
+    value = _cotangent_sum(a1, a2, a3, bits)
+    error = abs(value - exact)
+    if error >= Fraction(1, 1 << bits + 2):
+        raise IntegralityFailure(
+            f"R({a1},{a2},{a3}) rounds to {round(value)} at {bits} bits, but is {float(error):.3g}"
+            f" from its exact value (r_exact) {exact}, past the bound 2^-{bits + 2}"
+        )
+    numeric = Fraction(round(value * (1 << bits)), 1 << bits)
+    return RValue(numeric=numeric, rounded=exact, residual=Fraction(0), precision_bits=bits)

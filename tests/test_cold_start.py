@@ -1,5 +1,5 @@
-"""What a fresh process loads: `import knotcert` loads no submodule, and a
-command loads mpmath only when it evaluates R.
+"""What a fresh process loads: `import knotcert` loads no submodule, and no
+command or demo 01 needs mpmath, which only the tests' oracles use.
 
 Each check runs in a new interpreter, because the imports of other tests in
 this process would hide a module that is loaded too early.
@@ -9,10 +9,13 @@ import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-# The public names of the package as of 0.11.0 (59, as in 0.6.0).
+ROOT = Path(__file__).resolve().parent.parent
+
+# The public names of the package as of 0.12.0 (59, as in 0.6.0).
 PUBLIC_NAMES = {
     "AllZeroCoefficients", "AssembledManifold", "BoundaryComponent", "BranchedCover",
     "BrieskornSphere", "ChainCheck", "CobordismLabel", "CobordismRecord",
@@ -31,7 +34,7 @@ PUBLIC_NAMES = {
     "smith_normal_form", "tau_brieskorn_family",
 }
 
-# One argv line per subcommand; r-invariant comes last because it loads mpmath.
+# One argv line per subcommand.
 COMMANDS = [
     ["tau", "2", "3", "1"],
     ["compactness", "--terminal", "2,5,2", "--boundary", "2,3,1"],
@@ -64,19 +67,23 @@ def test_import_loads_no_submodule_and_no_mpmath():
     assert loaded == []
 
 
-def test_only_r_invariant_loads_mpmath():
+def test_every_command_and_demo_01_run_without_mpmath():
+    # A None entry in sys.modules makes every import of mpmath fail.
+    demo = ROOT / "demos" / "01_integrality_of_the_index.py"
     results = run_fresh(
         f"""
-        import json, sys
+        import contextlib, io, json, runpy, sys
+        sys.modules["mpmath"] = None
         from knotcert.cli import dispatch
-        results = []
-        for argv in {COMMANDS!r}:
-            code, _ = dispatch(argv)
-            results.append([argv[0], code, "mpmath" in sys.modules])
-        print(json.dumps(results))
+        codes = [[argv[0], dispatch(argv)[0]] for argv in {COMMANDS!r}]
+        with contextlib.redirect_stdout(io.StringIO()) as demo:
+            runpy.run_path({str(demo)!r}, run_name="__main__")
+        print(json.dumps({{"codes": codes, "demo": demo.getvalue()}}))
         """
     )
-    assert results == [[argv[0], 0, argv[0] == "r-invariant"] for argv in COMMANDS]
+    golden = json.loads((ROOT / "tests" / "data" / "demos_golden.json").read_text())
+    assert results["codes"] == [[argv[0], 0] for argv in COMMANDS]
+    assert results["demo"] == golden[demo.name]
 
 
 def test_every_export_resolves_to_its_defining_object():

@@ -2,6 +2,8 @@
 
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -16,7 +18,7 @@ from knotcert import (
     r_invariant,
 )
 from knotcert import fs_invariant
-from knotcert.fs_invariant import _cotangent_sum
+from knotcert.fs_invariant import _cotangent_sum, _pi, _seed
 from oracles import cotangent_sum_reference, r_oracle, random_coprime_triple
 
 
@@ -84,7 +86,7 @@ def test_r_symmetric_under_permutation_of_multiplicities():
         for perm in [(a2, a1, a3), (a3, a2, a1), (a2, a3, a1)]:
             other = _cotangent_sum(*perm, 128)
             assert abs(base - other) < 1e-9
-            assert int(mpmath.nint(base)) == int(mpmath.nint(other))
+            assert round(base) == round(other)
 
 
 def test_r_rounded_value_stable_under_precision_doubling():
@@ -93,7 +95,7 @@ def test_r_rounded_value_stable_under_precision_doubling():
         a1, a2, a3 = random_coprime_triple(rng, hi=50)
         lo = _cotangent_sum(a1, a2, a3, 128)
         hi = _cotangent_sum(a1, a2, a3, 256)
-        assert int(mpmath.nint(lo)) == int(mpmath.nint(hi)) == r_exact(BrieskornSphere(a1, a2, a3))
+        assert round(lo) == round(hi) == r_exact(BrieskornSphere(a1, a2, a3))
 
 
 def test_precision_escalates_until_tolerance_met():
@@ -103,25 +105,57 @@ def test_precision_escalates_until_tolerance_met():
     assert rv.residual <= 1e-45
 
 
-def test_integrality_failure_when_precision_capped(monkeypatch):
-    # The kernel lands on R itself, so a sum 2^-100 off R(2,3,7) = -1 stands
-    # in for one whose error no precision below the cap can clear.
+def test_integrality_failure_when_the_sum_misses_its_bound(monkeypatch):
+    # The kernel lies within 2^-(bits + 2) of R, so a sum 2^-100 off
+    # R(2,3,7) = -1 stands for a broken kernel.  It rounds to R, and r_invariant
+    # still refuses it, at the start rule's 256 bits.
     def off_by_2_to_the_minus_100(a1, a2, a3, bits):
-        with mpmath.workprec(bits):
-            return mpmath.mpf(-1) + mpmath.ldexp(1, -100)
+        return Fraction(-1) + Fraction(1, 2**100)
 
-    monkeypatch.setattr(fs_invariant, "MAX_PRECISION_BITS", 128)
     monkeypatch.setattr(fs_invariant, "_cotangent_sum", off_by_2_to_the_minus_100)
-    with pytest.raises(IntegralityFailure, match="exceeds tolerance 1e-45 at 128 bits"):
+    with pytest.raises(IntegralityFailure) as exc:
         r_invariant(BrieskornSphere(2, 3, 7), tolerance=1e-45)
+    assert str(exc.value) == (
+        "R(2,3,7) rounds to -1 at 256 bits, but is 7.89e-31 from its exact value (r_exact) -1, "
+        "past the bound 2^-258"
+    )
 
 
 def test_r_exact_is_one_on_the_surgery_family():
+    # Lemma L3: R(p, q, k*p*q - 1) = 1 and R(p, q, k*p*q + 1) = -1.
     rng = random.Random(909)
     for _ in range(200):
         p, q = sorted(random_coprime_triple(rng, hi=40)[:2])
         k = rng.choice((1, 2, 3, rng.randint(1, 10**6), rng.randint(1, 10**40)))
         assert r_exact(BrieskornSphere(p, q, k * p * q - 1)) == 1
+        assert r_exact(BrieskornSphere(p, q, k * p * q + 1)) == -1
+
+
+def test_r_exact_on_both_ends_of_the_surgery_family_in_a_box():
+    # Every coprime 2 <= p < q with p < 40, q < 60, and 1 <= k <= 11.
+    for p in range(2, 40):
+        for q in range(p + 1, 60):
+            if math.gcd(p, q) != 1:
+                continue
+            for k in range(1, 12):
+                assert r_exact(BrieskornSphere(p, q, k * p * q - 1)) == 1, (p, q, k)
+                assert r_exact(BrieskornSphere(p, q, k * p * q + 1)) == -1, (p, q, k)
+
+
+@st.composite
+def coprime_triples(draw):
+    first = draw(st.integers(2, 10**6))
+    second = draw(st.integers(2, 10**9).filter(lambda m: math.gcd(m, first) == 1))
+    third = draw(st.integers(2, 10**30).filter(lambda m: math.gcd(m, first * second) == 1))
+    return first, second, third
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_triples())
+def test_r_exact_is_odd_and_below_three_in_absolute_value(triple):
+    # Lemma L4: each (a_i - 2*r_i)/a_i lies in (-1, 1), so |R| < 3 + 2/a, and
+    # R is odd.  So R is 1 or -1, and every certified numeric prints as ±1.0.
+    assert r_exact(BrieskornSphere(*triple)) in (1, -1)
 
 
 def test_r_exact_matches_oracle_on_random_triples():
@@ -164,16 +198,28 @@ def test_term_budget_is_checked_before_any_sum(monkeypatch):
         ({"tolerance": 0.5}, "tolerance must lie in (0, 1/2), got 0.5"),
         ({"tolerance": -1e-9}, "tolerance must lie in (0, 1/2), got -1e-09"),
         ({"tolerance": math.inf}, "tolerance must lie in (0, 1/2), got inf"),
+        ({"tolerance": "1e-6"}, "tolerance must lie in (0, 1/2), got '1e-6'"),
+        ({"tolerance": None}, "tolerance must lie in (0, 1/2), got None"),
+        ({"tolerance": Fraction(1, 2)}, "tolerance must lie in (0, 1/2), got Fraction(1, 2)"),
+        ({"tolerance": Decimal("NaN")}, "tolerance must lie in (0, 1/2), got Decimal('NaN')"),
     ],
     ids=[
         "tolerance-0.7", "tolerance-nan", "tolerance-0", "tolerance-0.5", "tolerance-negative",
-        "tolerance-inf",
+        "tolerance-inf", "tolerance-str", "tolerance-none", "tolerance-fraction-half",
+        "tolerance-decimal-nan",
     ],
 )
 def test_r_invariant_validates_precision_and_tolerance(kwargs, message):
     with pytest.raises(InvalidParams) as exc:
         r_invariant(BrieskornSphere(2, 3, 7), **kwargs)
     assert str(exc.value) == message
+
+
+def test_r_invariant_takes_fraction_and_decimal_tolerances():
+    s = BrieskornSphere(2, 3, 5)
+    for tolerance in (Fraction(1, 10**7), Decimal("1e-7")):
+        assert r_invariant(s, tolerance=tolerance) == r_invariant(s, tolerance=1e-7)
+    assert r_invariant(s, tolerance=Fraction(1, 10**45)).precision_bits == 256
 
 
 def test_r_invariant_takes_no_precision():
@@ -197,15 +243,20 @@ def coprime_triples_with_a_composite(draw):
     return draw(st.permutations((first, second, third)))
 
 
+def as_fraction(x: mpmath.mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
 def assert_within_error_bound(triple, bits, reference=True):
-    """The kernel is within sum(a_i) ulps of R, and twice that of the reference."""
+    """The kernel is within 2^-(bits + 2) of R, its proven bound, and within
+    2*sum(a_i) ulps (2^-bits) of the reference."""
     value = _cotangent_sum(*triple, bits)
-    exact = r_exact(BrieskornSphere(*triple))
-    with mpmath.workprec(bits + 64):  # both differences are exact
-        ulp = mpmath.ldexp(1, -bits)
-        assert abs(value - exact) <= sum(triple) * ulp
-        if reference:
-            assert abs(value - cotangent_sum_reference(*triple, bits)) <= 2 * sum(triple) * ulp
+    assert isinstance(value, Fraction)
+    assert abs(value - r_exact(BrieskornSphere(*triple))) < Fraction(1, 2 ** (bits + 2))
+    if reference:
+        oracle = as_fraction(cotangent_sum_reference(*triple, bits))
+        assert abs(value - oracle) <= Fraction(2 * sum(triple), 2**bits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,17 +282,55 @@ def test_cotangent_sum_is_within_its_error_bound_on_large_triples(triple, bits, 
     assert_within_error_bound(triple, bits, reference)
 
 
+def test_cotangent_sum_is_within_its_bound_on_random_triples():
+    rng = random.Random(2222)
+    for bits in (128, 512):
+        for _ in range(300):
+            assert_within_error_bound(random_coprime_triple(rng, hi=300), bits, reference=False)
+
+
 def test_cotangent_sum_makes_at_most_one_trig_call_per_multiplicity(monkeypatch):
+    # One pi per kernel call, and one seed (cos and sin of pi/m) per
+    # multiplicity m >= 3.
     calls = []
-    trig = mpmath.libmp.mpf_cos_sin
 
-    def counted(*args):
-        calls.append(args)
-        return trig(*args)
+    def counted(name):
+        original = getattr(fs_invariant, name)
 
-    monkeypatch.setattr(mpmath.libmp, "mpf_cos_sin", counted)
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_pi", "_seed"):
+        monkeypatch.setattr(fs_invariant, name, counted(name))
     _cotangent_sum(2, 3, 1001, 128)
-    assert len(calls) <= 3
+    assert calls == ["_pi", "_seed", "_seed"]
+    calls.clear()
+    _cotangent_sum(5, 7, 1001, 256)
+    assert calls == ["_pi", "_seed", "_seed", "_seed"]
+
+
+def test_machin_pi_is_rounded_to_nearest():
+    # _pi(prec) is within 9/16 units of pi * 2^prec.
+    for prec in [*range(1, 200), *range(200, 12000, 61)]:
+        with mpmath.workprec(prec + 64):
+            error = abs(_pi(prec) - mpmath.pi * mpmath.mpf(2) ** prec)
+        assert error <= mpmath.mpf(9) / 16, prec
+
+
+@pytest.mark.parametrize("f", [20, 64, 160, 700, 2200, 4200])
+def test_seed_is_within_two_units(f):
+    # cos(pi/m) and sin(pi/m) in units of 2^-f, each within 2 units; m = 3
+    # runs the longest series.
+    pi = _pi(f + 10)
+    for m in [*range(3, 80), 1000, 1024, 99997, 10**9]:
+        cos_t, sin_t = _seed(m, pi, f)
+        with mpmath.workprec(f + 64):
+            scale = mpmath.mpf(2) ** f
+            assert abs(cos_t - mpmath.cos(mpmath.pi / m) * scale) < 2, m
+            assert abs(sin_t - mpmath.sin(mpmath.pi / m) * scale) < 2, m
 
 
 @pytest.fixture
@@ -270,11 +359,21 @@ def test_precision_starts_where_the_tolerance_can_be_met(attempts):
 
 def start_bits(triple, tolerance):
     """r_invariant's start rule: the first doubling of max(128, floor_bits)
-    whose 2^-bits is at most the tolerance, capped at 4096."""
+    whose 2^-bits is at most the tolerance."""
     bits = max(128, 50 + math.ceil(10 * math.log10(math.prod(triple))))
     while math.ldexp(1.0, -bits) > tolerance:
         bits *= 2
-    return min(bits, 4096)
+    return bits
+
+
+def test_the_tightest_tolerance_needs_no_cap(attempts):
+    # 2^-2048 underflows to 0.0, so the doubling stops there even for the
+    # smallest positive float, and for a Fraction far below it.
+    s = BrieskornSphere(2, 3, 7)
+    for tolerance in (5e-324, Fraction(1, 10**1000)):
+        attempts.clear()
+        assert r_invariant(s, tolerance=tolerance).precision_bits == 2048
+        assert attempts == [2048]
 
 
 def test_precision_bits_follow_the_start_rule_alone(attempts):
@@ -292,6 +391,4 @@ def test_precision_bits_follow_the_start_rule_alone(attempts):
             rv = r_invariant(s, tolerance)
             bits = start_bits(triple, tolerance)
             assert (rv.precision_bits, attempts) == (bits, [bits]), (triple, tolerance)
-            assert rv.residual <= mpmath.ldexp(1, -bits - 1)
-            if rv.rounded:
-                assert rv.residual == 0, (triple, tolerance)
+            assert rv.numeric == rv.rounded and rv.residual == 0, (triple, tolerance)
