@@ -19,6 +19,7 @@ import io
 import json
 import sys
 from dataclasses import asdict
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -62,6 +63,22 @@ def _ints(text: str, what: str, width: int | None = None) -> tuple[int, ...]:
     except ValueError:
         pass
     raise UsageError(f"bad {what} {text!r}")
+
+
+class _Tolerance(Decimal):
+    """--tolerance T at its exact value, which a float would round (1e-400 to
+    0), shown as T in messages."""
+
+    def __new__(cls, text: str):
+        try:
+            self = super().__new__(cls, text)
+        except ArithmeticError:  # decimal.InvalidOperation
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        self.text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self.text
 
 
 def _int_rows(text: str, what: str, width: int | None = None) -> list[tuple[int, ...]]:
@@ -318,7 +335,7 @@ def _cmd_definiteness(args):
 def _global_flags() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS)
-    common.add_argument("--tolerance", type=float, metavar="T", default=argparse.SUPPRESS)
+    common.add_argument("--tolerance", type=_Tolerance, metavar="T", default=argparse.SUPPRESS)
     return common
 
 

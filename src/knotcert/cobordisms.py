@@ -29,8 +29,8 @@ from enum import Enum
 from typing import ClassVar, Union
 
 from .covers import BranchedCover, SatelliteParams, ThreeSphere
-from .cs_invariants import _validate_ints, _validate_sign
-from .errors import InvalidParams
+from .cs_invariants import _validate_sign
+from .errors import InvalidParams, _validate_ints
 from .exactmath import SymIntMatrix
 from .fs_invariant import BrieskornSphere
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .cs_invariants import _validate_ints, _validate_sign, _validate_triple, _validate_twist
-from .errors import InvalidParams, UnsupportedSlope
+from .cs_invariants import _validate_sign, _validate_triple, _validate_twist
+from .errors import InvalidParams, UnsupportedSlope, _validate_ints
 from .exactmath import Slope
 from .fs_invariant import BrieskornSphere
 

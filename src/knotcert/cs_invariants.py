@@ -8,24 +8,11 @@ A triple (p, q, k) always refers to that sphere.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvalidParams
-
-
-def _validate_ints(values: Iterable, name: str) -> list[int]:
-    """The one rule for integer input: each value passes operator.index, so
-    int, bool and numpy integers become ints, and a float, str or Fraction
-    raises InvalidParams instead of being truncated."""
-    values = tuple(values)  # an iterator is read once; a tuple is not copied
-    try:
-        return list(map(operator.index, values))
-    except TypeError:
-        bad = next((v for v in values if not hasattr(type(v), "__index__")), None)
-        raise InvalidParams(f"{name} must be an integer, got {bad!r}") from None
+from .errors import InvalidParams, _validate_ints
 
 
 def _validate_triple(triple: Sequence[int]) -> list[int]:

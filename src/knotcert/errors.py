@@ -1,8 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the one integer-input rule.
 
 Every domain error derives from KnotcertError so callers (and the CLI) can
-distinguish invalid mathematical input from genuine bugs.
+distinguish invalid mathematical input from genuine bugs.  The integer rule
+sits in this lowest layer so that every module can apply it.
 """
+
+import operator
+from typing import Iterable
 
 
 class KnotcertError(Exception):
@@ -23,3 +27,15 @@ class UnsupportedSlope(KnotcertError, ValueError):
 
 class AllZeroCoefficients(KnotcertError, ValueError):
     """A linear combination needs at least one nonzero coefficient."""
+
+
+def _validate_ints(values: Iterable, name: str) -> list[int]:
+    """The one rule for integer input: each value passes operator.index, so
+    int, bool and numpy integers become ints, and a float, str or Fraction
+    raises InvalidParams instead of being truncated."""
+    values = tuple(values)  # an iterator is read once; a tuple is not copied
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(type(v), "__index__")), None)
+        raise InvalidParams(f"{name} must be an integer, got {bad!r}") from None

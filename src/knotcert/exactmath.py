@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .cs_invariants import _validate_ints
-from .errors import InvalidParams
+from .errors import InvalidParams, _validate_ints
 
 
 @dataclass(frozen=True)
@@ -113,27 +112,20 @@ class SNFResult:
     right: tuple[tuple[int, ...], ...]
 
 
-def _argmin_abs_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
-    best = None
-    for i in range(t, nr):
-        for j in range(t, nc):
-            v = abs(a[i][j])
-            if v and (best is None or v < best[0]):
-                best = (v, i, j)
-    return None if best is None else (best[1], best[2])
-
-
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:
     """Smith normal form of a rectangular integer matrix, with transforms.
 
-    Classic pivot-and-reduce algorithm: repeatedly move a least-magnitude
-    entry to the pivot position, run Euclidean reduction on its row and
-    column, then absorb any entry of the remaining block that the pivot
-    fails to divide.  The transforms ride in the matrix being reduced: row i
-    of A is extended by row i of I_nr, which becomes row i of left, and the
-    rows of I_nc stacked below become right.  Row operations act on the top
-    rows and column operations on the first nc columns, so left @ A @ right
-    equals the diagonal result by construction.
+    Phase 1 diagonalizes.  At each position t a least-magnitude entry of the
+    active block moves to (t, t), and row t and column t are reduced by
+    nearest-integer quotients, leaving remainders of at most half the pivot.
+    While one is left, the least becomes the pivot by one swap and the
+    reduction repeats; each new pivot is a remainder, smaller than the last
+    pivot, so this ends.  Phase 2 makes the divisibility chain: where d_i
+    does not divide d_j (i < j), with g = gcd(d_i, d_j) = s*d_i + u*d_j, one
+    determinant-1 step on each transform replaces (d_i, d_j) by (g, lcm).
+    Row i of A carries row i of left and right is kept transposed, so each
+    row or column operation is one pass over a list, and left @ A @ right
+    equals the diagonal by construction.
     """
     rows = [_validate_ints(row, "a matrix entry") for row in m]
     if not rows or not rows[0]:
@@ -142,55 +134,73 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:
     if any(len(row) != nc for row in rows):
         raise InvalidParams("matrix is not rectangular")
     a = [row + [int(i == j) for j in range(nr)] for i, row in enumerate(rows)]
-    a += [[int(i == j) for j in range(nc)] for i in range(nc)]
+    rt = [[int(i == j) for j in range(nc)] for i in range(nc)]  # right, transposed
 
-    def add_row(dst: int, src: int, mult: int) -> None:
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
+    def swap_cols(t: int, k: int) -> None:  # rows above t are zero in both columns
+        for row in a[t:]:
+            row[t], row[k] = row[k], row[t]
+        rt[t], rt[k] = rt[k], rt[t]
 
-    def add_col(dst: int, src: int, mult: int) -> None:
-        for row in a:
-            row[dst] += mult * row[src]
-
-    t = 0
-    rank_bound = min(nr, nc)
-    while t < rank_bound:
-        pos = _argmin_abs_nonzero(a, t, nr, nc)
-        if pos is None:
+    for t in range(min(nr, nc)):
+        # The least nonzero |entry| of the active block, first in row order.
+        lows = [min(map(abs, filter(None, row[t:nc])), default=math.inf) for row in a[t:]]
+        least = min(lows)
+        if least == math.inf:
             break
-        i, j = pos
+        i = t + lows.index(least)
+        j = next(j for j in range(t, nc) if abs(a[i][j]) == least)
         a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        piv = a[t][t]
-        for i in range(t + 1, nr):
-            q = a[i][t] // piv
-            if q:
-                add_row(i, t, -q)
-        for j in range(t + 1, nc):
-            q = a[t][j] // piv
-            if q:
-                add_col(j, t, -q)
-        if any(a[i][t] for i in range(t + 1, nr)) or any(a[t][j] for j in range(t + 1, nc)):
-            continue  # leftover remainders are smaller; re-pick the pivot
-        bad = next(
-            (
-                i
-                for i in range(t + 1, nr)
-                if any(a[i][j] % piv for j in range(t + 1, nc))
-            ),
-            None,
-        )
-        if bad is not None:
-            add_row(t, bad, 1)  # pull the offending row into the pivot row
-            continue
-        t += 1
+        swap_cols(t, j)
+        while True:
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            top, piv = a[t], a[t][t]
+            # One pass over the rows applies all of this pivot's column steps.
+            steps = [(j, q) for j in range(t + 1, nc) if (q := (2 * top[j] + piv) // (2 * piv))]
+            for row in a[t:]:
+                f = row[t]
+                if f:
+                    for j, q in steps:
+                        row[j] -= q * f
+            for j, q in steps:
+                rt[j] = [x - q * y for x, y in zip(rt[j], rt[t])]
+            for i in range(t + 1, nr):
+                q = (2 * a[i][t] + piv) // (2 * piv)
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+            rest = min(
+                [(abs(top[j]), 0, j) for j in range(t + 1, nc) if top[j]]
+                + [(abs(a[i][t]), 1, i) for i in range(t + 1, nr) if a[i][t]],
+                default=None,
+            )
+            if rest is None:
+                break
+            _, in_col, k = rest
+            if in_col:
+                a[t], a[k] = a[k], a[t]
+            else:
+                swap_cols(t, k)
 
+    d = [a[i][i] for i in range(min(nr, nc))]  # zeros trail
+    left = [row[nc:] for row in a]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            if d[i] and d[j] % d[i]:
+                g = math.gcd(d[i], d[j])
+                di, dj = d[i] // g, d[j] // g
+                s = pow(di, -1, dj)  # s*d_i + u*d_j = g
+                u = (1 - s * di) // dj
+                li, lj = left[i], left[j]
+                left[i] = [s * x + u * y for x, y in zip(li, lj)]
+                left[j] = [di * y - dj * x for x, y in zip(li, lj)]
+                ri, rj = rt[i], rt[j]
+                rt[i] = [x + y for x, y in zip(ri, rj)]
+                rt[j] = [s * di * y - u * dj * x for x, y in zip(ri, rj)]
+                d[i], d[j] = g, d[i] * dj
     return SNFResult(
-        diagonal=tuple(a[i][i] for i in range(rank_bound)),
-        left=tuple(tuple(row[nc:]) for row in a[:nr]),
-        right=tuple(tuple(row) for row in a[nr:]),
+        diagonal=tuple(d),
+        left=tuple(map(tuple, left)),
+        right=tuple(zip(*rt)),
     )
 
 

@@ -36,8 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cs_invariants import _validate_ints, _validate_sign
-from .errors import IntegralityFailure, InvalidParams
+from .cs_invariants import _validate_sign
+from .errors import IntegralityFailure, InvalidParams, _validate_ints
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6

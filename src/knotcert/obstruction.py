@@ -33,8 +33,8 @@ from .cobordisms import (
     build_Z,
 )
 from .covers import SatelliteParams
-from .cs_invariants import _growth, _validate_ints, _validate_triple, _validate_twist
-from .errors import AllZeroCoefficients, InvalidParams
+from .cs_invariants import _growth, _validate_triple, _validate_twist
+from .errors import AllZeroCoefficients, InvalidParams, _validate_ints
 from .exactmath import Definiteness, SymIntMatrix
 
 

@@ -58,6 +58,14 @@ def test_tolerance_flag_triggers_escalation():
     assert "precision_bits: 256" in out
 
 
+def test_tolerance_below_the_float_range_keeps_its_exact_value():
+    # As a float, 1e-400 is 0.0 and would be refused; the library takes
+    # Fraction(1, 10**400) and runs at 2,048 bits, and so does the CLI.
+    code, out = run("--tolerance", "1e-400", "r-invariant", "2", "3", "5")
+    assert code == 0
+    assert "precision_bits: 2048" in out.splitlines()
+
+
 def test_r_invariant_over_the_term_budget_fails_fast_with_the_exact_value():
     start = time.perf_counter()
     code, out = run("r-invariant", "2", "3", "1000000007")
@@ -335,9 +343,13 @@ def test_bad_precision_is_usage_error():
         code, out = run(*argv)
         assert code == 2
         assert out.startswith("usage error: unrecognized arguments: --precision")
-    for tolerance in ("0.7", "0.5"):
-        code, out = run("r-invariant", "2", "3", "5", "--tolerance", tolerance)
+    # A refused tolerance is shown as given, not as the float it rounds to.
+    for tolerance in ("0.7", "0.5", "nan", "inf", "1e400", "-1e-400"):
+        code, out = run("r-invariant", "2", "3", "5", f"--tolerance={tolerance}")
         assert (code, out) == (2, f"usage error: tolerance must lie in (0, 1/2), got {tolerance}")
+    for tolerance in ("abc", "1/3"):
+        code, out = run("r-invariant", "2", "3", "5", "--tolerance", tolerance)
+        assert (code, out) == (2, f"usage error: argument --tolerance: invalid float value: {tolerance!r}")
 
 
 def test_cobordism_refuses_forms_over_the_output_budget():

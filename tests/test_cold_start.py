@@ -1,5 +1,6 @@
-"""What a fresh process loads: `import knotcert` loads no submodule, and no
-command or demo 01 needs mpmath, which only the tests' oracles use.
+"""What a fresh process loads: `import knotcert` loads no submodule,
+`knotcert.exactmath` loads no other layer and no `fractions`, and no command
+or demo 01 needs mpmath, which only the tests' oracles use.
 
 Each check runs in a new interpreter, because the imports of other tests in
 this process would hide a module that is loaded too early.
@@ -65,6 +66,17 @@ def test_import_loads_no_submodule_and_no_mpmath():
         """
     )
     assert loaded == []
+
+
+def test_exactmath_loads_neither_cs_invariants_nor_fractions():
+    loaded = run_fresh(
+        """
+        import json, sys
+        import knotcert.exactmath
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("knotcert") or m == "fractions")))
+        """
+    )
+    assert loaded == ["knotcert", "knotcert.errors", "knotcert.exactmath"]
 
 
 def test_every_command_and_demo_01_run_without_mpmath():

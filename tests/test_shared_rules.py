@@ -59,7 +59,7 @@ from knotcert import (
     tau_brieskorn_family,
 )
 from knotcert import cobordisms, covers
-from knotcert.cs_invariants import _validate_ints
+from knotcert.errors import _validate_ints
 
 SETTINGS = settings(max_examples=60, deadline=None)
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "knotcert"
