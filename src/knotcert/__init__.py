@@ -10,14 +10,18 @@ growth criterion that certifies infinite families independent in the smooth
 concordance group.  All certificate arithmetic is exact.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 # Public name -> the submodule that defines it.  Names resolve on first access
 # (PEP 562), so `import knotcert` loads no submodule and no mpmath.
 _EXPORTS = {
+    "THREE_SPHERE": "cobordisms",
     "BoundaryComponent": "cobordisms",
+    "BranchedCover": "cobordisms",
     "CobordismLabel": "cobordisms",
     "CobordismRecord": "cobordisms",
+    "SatelliteParams": "cobordisms",
+    "ThreeSphere": "cobordisms",
     "build_P": "cobordisms",
     "build_R": "cobordisms",
     "build_Z": "cobordisms",
@@ -25,11 +29,7 @@ _EXPORTS = {
     "reverse_orientation": "cobordisms",
     "KILL_LONGITUDE": "covers",
     "KILL_MERIDIAN": "covers",
-    "THREE_SPHERE": "covers",
-    "BranchedCover": "covers",
     "CoverDecomposition": "covers",
-    "SatelliteParams": "covers",
-    "ThreeSphere": "covers",
     "TorusGluingMap": "covers",
     "TorusLinkExterior": "covers",
     "double_cover_decomposition": "covers",
@@ -37,6 +37,7 @@ _EXPORTS = {
     "pattern_gluing_map": "covers",
     "post_surgery_gluing": "covers",
     "slope_from_filling": "covers",
+    "BrieskornSphere": "cs_invariants",
     "CompactnessCheck": "cs_invariants",
     "CompactnessReport": "cs_invariants",
     "H1Data": "cs_invariants",
@@ -58,7 +59,6 @@ _EXPORTS = {
     "SymIntMatrix": "exactmath",
     "definiteness": "exactmath",
     "smith_normal_form": "exactmath",
-    "BrieskornSphere": "fs_invariant",
     "RValue": "fs_invariant",
     "r_exact": "fs_invariant",
     "r_invariant": "fs_invariant",

@@ -23,7 +23,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import fs_invariant
 from .errors import InvalidParams, KnotcertError
 
 # Each handler imports the layer modules it calls, so a process pays only for
@@ -96,13 +95,13 @@ def _int_rows(text: str, what: str, width: int | None = None) -> list[tuple[int,
 
 
 def _space(s: cobordisms.BoundarySpace) -> dict:
-    from . import covers
+    from . import cobordisms
 
-    if isinstance(s, fs_invariant.BrieskornSphere):
+    if isinstance(s, cobordisms.BrieskornSphere):
         return {"type": "brieskorn", "multiplicities": s.multiplicities, "orientation": s.orientation}
-    if isinstance(s, covers.BranchedCover):
+    if isinstance(s, cobordisms.BranchedCover):
         return {"type": "cover", **asdict(s.params), "orientation": s.orientation}
-    if isinstance(s, covers.ThreeSphere):
+    if isinstance(s, cobordisms.ThreeSphere):
         return {"type": "s3"}
     raise TypeError(f"unknown boundary space {s!r}")
 
@@ -142,9 +141,10 @@ def _dump(obj: dict) -> str:
 
 
 def _cmd_r_invariant(args):
+    from . import fs_invariant
+
     sphere = fs_invariant.BrieskornSphere(args.a1, args.a2, args.a3)
-    tolerance = getattr(args, "tolerance", fs_invariant.DEFAULT_TOLERANCE)
-    rv = fs_invariant.r_invariant(sphere, tolerance=tolerance)
+    rv = fs_invariant.r_invariant(sphere, getattr(args, "tolerance", fs_invariant.DEFAULT_TOLERANCE))
     # numeric and residual are integers (R and 0), which float prints exactly,
     # as "-1.0" and "0.0".  Text prints these fields, in this order.
     fields = {
@@ -206,10 +206,10 @@ def _cmd_cover(args):
 
 
 def _cmd_cobordism(args):
-    from . import cobordisms, covers
+    from . import cobordisms
     from .exactmath import Definiteness
 
-    params = covers.SatelliteParams(args.n, args.p, args.q)
+    params = cobordisms.SatelliteParams(args.n, args.p, args.q)
     if args.crossings is not None and args.kind != "Z":
         raise UsageError("--crossings applies to Z only")
     if args.kind == "Z":
@@ -246,10 +246,10 @@ def _cmd_cobordism(args):
 
 
 def _cmd_certify(args):
-    from . import covers, obstruction
+    from . import obstruction
 
     triples = _int_rows(args.family, "--family", 3)
-    family = obstruction.Family(tuple(covers.SatelliteParams(*t) for t in triples))
+    family = obstruction.Family(tuple(obstruction.SatelliteParams(*t) for t in triples))
     coefficients = None if args.coefficients is None else _ints(args.coefficients, "coefficient list")
     cert = obstruction.certify_family(family, coefficients)
     payload = {
@@ -274,10 +274,10 @@ def _cmd_certify(args):
 def _cmd_generate(args):
     import csv
 
-    from . import covers, obstruction
+    from . import obstruction
 
     n, p, q = _ints(args.start, "--start", 3)
-    start = covers.SatelliteParams(n, p, q)
+    start = obstruction.SatelliteParams(n, p, q)
     if args.count > MAX_GENERATE_COUNT:
         raise InvalidParams(f"count {args.count} exceeds the budget of {MAX_GENERATE_COUNT} members")
     family = obstruction.generate_family(start, args.count, fix_n=args.fix_n)
@@ -431,10 +431,13 @@ def dispatch(argv: list[str]) -> tuple[int, str]:
         return int(exc.code or 0), captured.getvalue().rstrip("\n")
     if getattr(args, "handler", None) is None:
         return 2, "usage error: a subcommand is required (see --help)"
-    try:
-        fs_invariant._validate_tolerance(getattr(args, "tolerance", fs_invariant.DEFAULT_TOLERANCE))
-    except InvalidParams as exc:
-        return 2, f"usage error: {exc}"
+    if hasattr(args, "tolerance"):
+        from .fs_invariant import _validate_tolerance
+
+        try:
+            _validate_tolerance(args.tolerance)
+        except InvalidParams as exc:
+            return 2, f"usage error: {exc}"
     fmt = getattr(args, "format", None) or args.formats[0]
     if fmt not in args.formats:
         return 2, f"usage error: format {fmt!r} not supported here (allowed: {', '.join(args.formats)})"

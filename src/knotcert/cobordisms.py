@@ -18,8 +18,8 @@ on request), and flags.  A record is its label, parameters, handle count
 and orientation; both boundaries and the form's sign follow from those, so
 a reversed record cannot keep the boundary of the one it reverses.  The
 outgoing ends are stated in closed form, the Moser identification of each
-label's filling; knotcert.covers holds the gluing-map and slope derivation
-that the tests check every record against.
+label's filling.  SatelliteParams and the cover and S^3 ends are defined
+here; the Brieskorn ends are knotcert.cs_invariants.BrieskornSphere.
 """
 
 from __future__ import annotations
@@ -28,12 +28,63 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar, Union
 
-from .covers import BranchedCover, SatelliteParams, ThreeSphere
-from .cs_invariants import _validate_sign
+from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
 from .errors import InvalidParams, _validate_ints
 from .exactmath import SymIntMatrix
-from .fs_invariant import BrieskornSphere
 
+
+@dataclass(frozen=True)
+class SatelliteParams:
+    """The triple (n, p, q) defining D_n(T_{p,q}).
+
+    n >= 2 must be even (odd n gives the pattern nonzero winding number);
+    p, q >= 2 must be coprime.  All three are stored as ints.
+    """
+
+    n: int
+    p: int
+    q: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _validate_twist(self.n))
+        p, q, _ = _validate_triple((self.p, self.q, 1))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __str__(self) -> str:
+        return f"D_{self.n}(T({self.p},{self.q}))"
+
+
+@dataclass(frozen=True)
+class ThreeSphere:
+    """Orientation-preserving diffeomorphism type of S^3 (amphichiral)."""
+
+    def reversed(self) -> "ThreeSphere":
+        return self
+
+    def __str__(self) -> str:
+        return "S^3"
+
+
+@dataclass(frozen=True)
+class BranchedCover:
+    """The double cover of S^3 branched over D_n(T_{p,q}), with orientation."""
+
+    params: SatelliteParams
+    orientation: int = 1
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
+
+    def reversed(self) -> "BranchedCover":
+        return BranchedCover(self.params, -self.orientation)
+
+    def __str__(self) -> str:
+        sign = "" if self.orientation == 1 else "-"
+        return f"{sign}Sigma_2({self.params})"
+
+
+THREE_SPHERE = ThreeSphere()
 BoundarySpace = Union[BranchedCover, BrieskornSphere, ThreeSphere]
 
 

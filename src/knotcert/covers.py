@@ -3,10 +3,10 @@
 D_n denotes the unknotted winding-number-zero pattern whose clasp carries n
 positive half twists (n even, so the pattern is nullhomologous in the solid
 torus); D_n(T_{p,q}) is the satellite with companion the (p, q) torus knot.
-The double cover of S^3 branched over D_n(T_{p,q}) splits along two tori
-into the exterior of the (2, -2n) torus link and two copies of the
-companion exterior; this module records that splitting as exact matrix data
-and computes the surgery slopes of the fillings used downstream.
+Its double branched cover splits along two tori into the exterior of the
+(2, -2n) torus link and two copies of the companion exterior; this module
+records that splitting as exact matrix data and derives its filling slopes.
+knotcert.cobordisms defines these spaces; certification never loads this.
 
 Basis convention: homology classes on a torus are column vectors over the
 ordered basis (meridian, longitude); gluing maps act by left multiplication,
@@ -18,69 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .cs_invariants import _validate_sign, _validate_triple, _validate_twist
+from .cobordisms import THREE_SPHERE, SatelliteParams, ThreeSphere
+from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
 from .errors import InvalidParams, UnsupportedSlope, _validate_ints
 from .exactmath import Slope
-from .fs_invariant import BrieskornSphere
 
 # Target-basis classes killed by a filling: the meridian disk class m and
 # the longitude class l of the filled solid torus.
 KILL_MERIDIAN = (1, 0)
 KILL_LONGITUDE = (0, 1)
-
-
-@dataclass(frozen=True)
-class SatelliteParams:
-    """The triple (n, p, q) defining D_n(T_{p,q}).
-
-    n >= 2 must be even (odd n gives the pattern nonzero winding number);
-    p, q >= 2 must be coprime.  All three are stored as ints.
-    """
-
-    n: int
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _validate_twist(self.n))
-        p, q, _ = _validate_triple((self.p, self.q, 1))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def __str__(self) -> str:
-        return f"D_{self.n}(T({self.p},{self.q}))"
-
-
-@dataclass(frozen=True)
-class ThreeSphere:
-    """Orientation-preserving diffeomorphism type of S^3 (amphichiral)."""
-
-    def reversed(self) -> "ThreeSphere":
-        return self
-
-    def __str__(self) -> str:
-        return "S^3"
-
-
-THREE_SPHERE = ThreeSphere()
-
-
-@dataclass(frozen=True)
-class BranchedCover:
-    """The double cover of S^3 branched over D_n(T_{p,q}), with orientation."""
-
-    params: SatelliteParams
-    orientation: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
-
-    def reversed(self) -> "BranchedCover":
-        return BranchedCover(self.params, -self.orientation)
-
-    def __str__(self) -> str:
-        sign = "" if self.orientation == 1 else "-"
-        return f"{sign}Sigma_2({self.params})"
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
-"""Chern-Simons minima, Pontryagin numbers, and the moduli compactness test.
+"""Brieskorn spheres, Chern-Simons minima, Pontryagin numbers, compactness.
 
-Everything here is a closed-form rational for the surgery family
-Sigma(p, q, k*p*q - 1), so the arithmetic is exact Fractions end to end.
-A triple (p, q, k) always refers to that sphere.
+BrieskornSphere is the oriented Sigma(a1, a2, a3).  The rest is closed form
+for the surgery family Sigma(p, q, k*p*q - 1), exact Fractions end to end;
+a triple (p, q, k) always refers to that sphere.
 """
 
 from __future__ import annotations
@@ -50,6 +50,43 @@ def _validate_sign(s: int, name: str = "orientation") -> int:
 def _growth(p: int, q: int, k: int) -> int:
     """p*q*(k*p*q - 1): 1/tau(Sigma(p, q, k*p*q - 1)) and the chain criterion's sides."""
     return p * q * (k * p * q - 1)
+
+
+@dataclass(frozen=True)
+class BrieskornSphere:
+    """Oriented Brieskorn homology sphere Sigma(a1, a2, a3).
+
+    Multiplicities are an unordered multiset: they are stored sorted
+    ascending, must be >= 2 and pairwise coprime.  orientation is +1 for
+    Sigma and -1 for the reversed -Sigma.
+    """
+
+    a1: int
+    a2: int
+    a3: int
+    orientation: int = 1
+
+    def __post_init__(self) -> None:
+        a = sorted(_validate_ints((self.a1, self.a2, self.a3), "a multiplicity"))
+        if a[0] < 2:
+            raise InvalidParams(f"multiplicities must be >= 2, got {tuple(a)}")
+        if math.lcm(*a) != a[0] * a[1] * a[2]:
+            raise InvalidParams(f"multiplicities {tuple(a)} are not pairwise coprime")
+        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
+        object.__setattr__(self, "a1", a[0])
+        object.__setattr__(self, "a2", a[1])
+        object.__setattr__(self, "a3", a[2])
+
+    @property
+    def multiplicities(self) -> tuple[int, int, int]:
+        return (self.a1, self.a2, self.a3)
+
+    def reversed(self) -> "BrieskornSphere":
+        return BrieskornSphere(self.a1, self.a2, self.a3, -self.orientation)
+
+    def __str__(self) -> str:
+        sign = "" if self.orientation == 1 else "-"
+        return f"{sign}Sigma({self.a1},{self.a2},{self.a3})"
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ invariant of Fintushel and Stern", 1985):
 
     R(a1, a2, a3) = 2/a + sum_i (a_i - 2*r_i)/a_i,   r_i = (a/a_i)^-1 mod a_i.
 
-r_exact evaluates it in O(log a); r_invariant runs the sum once and
-certifies it against r_exact, and refuses sums of more than
-MAX_COTANGENT_TERMS terms, counted as sum(a_i - 1) over the full range.
+r_exact evaluates it in O(log a); r_invariant runs the sum once, certifies
+it against r_exact, and refuses more than MAX_COTANGENT_TERMS terms over
+the full range, sum(a_i - 1).  Spheres are cs_invariants.BrieskornSphere.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cs_invariants import _validate_sign
-from .errors import IntegralityFailure, InvalidParams, _validate_ints
+from .cs_invariants import BrieskornSphere
+from .errors import IntegralityFailure, InvalidParams
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
@@ -46,43 +46,6 @@ DEFAULT_TOLERANCE = 1e-6
 # about 75 ms (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones fail with
 # InvalidParams (exit 1) instead of running for minutes.
 MAX_COTANGENT_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class BrieskornSphere:
-    """Oriented Brieskorn homology sphere Sigma(a1, a2, a3).
-
-    Multiplicities are an unordered multiset: they are stored sorted
-    ascending, must be >= 2 and pairwise coprime.  orientation is +1 for
-    Sigma and -1 for the reversed -Sigma.
-    """
-
-    a1: int
-    a2: int
-    a3: int
-    orientation: int = 1
-
-    def __post_init__(self) -> None:
-        a = sorted(_validate_ints((self.a1, self.a2, self.a3), "a multiplicity"))
-        if a[0] < 2:
-            raise InvalidParams(f"multiplicities must be >= 2, got {tuple(a)}")
-        if math.lcm(*a) != a[0] * a[1] * a[2]:
-            raise InvalidParams(f"multiplicities {tuple(a)} are not pairwise coprime")
-        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
-        object.__setattr__(self, "a1", a[0])
-        object.__setattr__(self, "a2", a[1])
-        object.__setattr__(self, "a3", a[2])
-
-    @property
-    def multiplicities(self) -> tuple[int, int, int]:
-        return (self.a1, self.a2, self.a3)
-
-    def reversed(self) -> "BrieskornSphere":
-        return BrieskornSphere(self.a1, self.a2, self.a3, -self.orientation)
-
-    def __str__(self) -> str:
-        sign = "" if self.orientation == 1 else "-"
-        return f"{sign}Sigma({self.a1},{self.a2},{self.a3})"
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,10 @@ from .cobordisms import (
     BoundaryComponent,
     CobordismLabel,
     CobordismRecord,
+    SatelliteParams,
     build_R,
     build_Z,
 )
-from .covers import SatelliteParams
 from .cs_invariants import _growth, _validate_triple, _validate_twist
 from .errors import AllZeroCoefficients, InvalidParams, _validate_ints
 from .exactmath import Definiteness, SymIntMatrix
@@ -48,6 +48,9 @@ class Family:
         members = tuple(self.members)
         if not members:
             raise InvalidParams("a family needs at least one member")
+        for i, m in enumerate(members, 1):
+            if not isinstance(m, SatelliteParams):
+                raise InvalidParams(f"family member {i} must be SatelliteParams, got {type(m).__name__}")
         object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
@@ -265,5 +268,6 @@ def generate_family(
         raise InvalidParams(f"count must be >= 1, got {count}")
     members = [start]
     while len(members) < count:
-        members.append(next_member(Family(tuple(members)), fix_n=fix_n))
+        # next_member reads only the last member, so each step stays O(1).
+        members.append(next_member(Family(members[-1:]), fix_n=fix_n))
     return Family(tuple(members))

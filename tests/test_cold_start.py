@@ -1,6 +1,7 @@
 """What a fresh process loads: `import knotcert` loads no submodule,
-`knotcert.exactmath` loads no other layer and no `fractions`, and no command
-or demo 01 needs mpmath, which only the tests' oracles use.
+`knotcert.exactmath` loads no other layer and no `fractions`, each command
+loads only the layers it calls, and no command or demo 01 needs mpmath,
+which only the tests' oracles use.
 
 Each check runs in a new interpreter, because the imports of other tests in
 this process would hide a module that is loaded too early.
@@ -16,7 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The public names of the package as of 0.12.0 (59, as in 0.6.0).
+# The public names of the package as of 0.14.0 (59, as in 0.6.0).
 PUBLIC_NAMES = {
     "AllZeroCoefficients", "AssembledManifold", "BoundaryComponent", "BranchedCover",
     "BrieskornSphere", "ChainCheck", "CobordismLabel", "CobordismRecord",
@@ -96,6 +97,50 @@ def test_every_command_and_demo_01_run_without_mpmath():
     golden = json.loads((ROOT / "tests" / "data" / "demos_golden.json").read_text())
     assert results["codes"] == [[argv[0], 0] for argv in COMMANDS]
     assert results["demo"] == golden[demo.name]
+
+
+# The knotcert submodules that each command loads through dispatch.  Only
+# r-invariant, or an explicit --tolerance, loads R's kernel (fs_invariant);
+# only cover loads the surgery derivation (covers).
+CERTIFY_LAYERS = ["cli", "cobordisms", "cs_invariants", "errors", "exactmath", "obstruction"]
+COMMAND_LAYERS = [
+    (["tau", "2", "3", "1"], ["cli", "cs_invariants", "errors"]),
+    (["compactness", "--terminal", "2,5,2", "--boundary", "2,3,1"], ["cli", "cs_invariants", "errors"]),
+    (["cover", "2", "2", "3"], ["cli", "cobordisms", "covers", "cs_invariants", "errors", "exactmath"]),
+    (["cobordism", "R", "2", "2", "3"], ["cli", "cobordisms", "cs_invariants", "errors", "exactmath"]),
+    (["certify", "--family", "2,2,3;2,2,5"], CERTIFY_LAYERS),
+    (["generate", "--start", "2,2,3", "--count", "3", "--fix-n", "2"], CERTIFY_LAYERS),
+    (["snf", "2,0;0,3"], ["cli", "errors", "exactmath"]),
+    (["definiteness", "2,1;1,2"], ["cli", "errors", "exactmath"]),
+    (["r-invariant", "2", "3", "5"], ["cli", "cs_invariants", "errors", "fs_invariant"]),
+    (["tau", "2", "3", "1", "--tolerance", "1e-3"], ["cli", "cs_invariants", "errors", "fs_invariant"]),
+]
+
+
+def loaded_after(code: str) -> list[str]:
+    """The knotcert submodules, without the prefix, that code leaves loaded."""
+    return run_fresh(
+        f"""
+        import json, sys
+        {code}
+        print(json.dumps(sorted(m[9:] for m in sys.modules if m.startswith("knotcert."))))
+        """
+    )
+
+
+@pytest.mark.parametrize("argv, layers", COMMAND_LAYERS, ids=[" ".join(argv) for argv, _ in COMMAND_LAYERS])
+def test_each_command_loads_only_its_layers(argv, layers):
+    assert loaded_after(f"from knotcert.cli import dispatch; assert dispatch({argv!r})[0] == 0") == layers
+
+
+def test_certification_loads_neither_the_surgery_derivation_nor_r():
+    assert loaded_after("import knotcert.obstruction") == [
+        "cobordisms", "cs_invariants", "errors", "exactmath", "obstruction"
+    ]
+
+
+def test_brieskorn_sphere_loads_only_its_family_rules():
+    assert loaded_after("import knotcert; knotcert.BrieskornSphere") == ["cs_invariants", "errors"]
 
 
 def test_every_export_resolves_to_its_defining_object():

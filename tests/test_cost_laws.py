@@ -1,0 +1,73 @@
+"""Cost laws as exact relations between counts of executed lines.
+
+A line event is one source line of the knotcert package run once, as
+sys.settrace reports it.  With one Python version the count is the same on
+every run and every host, so a law stated on counts is a deterministic test
+where wall-clock timing is not.  Python 3.10 to 3.13 report different line
+events for the same code, so the tests assert relations between counts,
+never absolute counts.
+
+The count does not see big-integer cost: a line that multiplies two n-digit
+integers is one event whatever n is, while its time grows with n.  Timing
+stays the benchmark's job.
+
+The law stated here is certification's: certify_family runs a number of
+lines that is affine in the family length L and does not depend on the
+size of n, p or q.  Families are generated outside the trace.
+"""
+
+import sys
+from pathlib import Path
+
+import knotcert
+from knotcert import SatelliteParams, certify_family, generate_family
+
+PACKAGE = str(Path(knotcert.__file__).parent)
+
+
+def line_events(fn, *args) -> int:
+    """Line events in the package's own frames while fn(*args) runs."""
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return count_lines
+
+    def enter(frame, event, arg):
+        return count_lines if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def certify_lines(start: SatelliteParams, length: int) -> int:
+    return line_events(certify_family, generate_family(start, length))
+
+
+def test_certify_lines_do_not_depend_on_the_digits_of_the_parameters():
+    # The first member's p and q have 1, 21 and 301 digits; the generated
+    # successors carry twist parameters of up to about 1,300 digits.
+    starts = [
+        SatelliteParams(2, 2, 3),
+        SatelliteParams(2, 10**20 + 1, 10**20 + 2),
+        SatelliteParams(2, 10**300 + 1, 10**300 + 2),
+    ]
+    counts = [certify_lines(start, 10) for start in starts]
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3
+
+
+def test_certify_lines_are_affine_in_the_family_length():
+    start = SatelliteParams(2, 2, 3)
+    c5, c10, c20, c40 = (certify_lines(start, length) for length in (5, 10, 20, 40))
+    per_member, remainder = divmod(c10 - c5, 5)
+    assert remainder == 0 and per_member > 0
+    assert c20 - c10 == 10 * per_member
+    assert c40 - c20 == 20 * per_member

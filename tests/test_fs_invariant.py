@@ -123,6 +123,19 @@ def test_integrality_failure_when_the_sum_misses_its_bound(monkeypatch):
 
 def test_r_exact_is_one_on_the_surgery_family():
     # Lemma L3: R(p, q, k*p*q - 1) = 1 and R(p, q, k*p*q + 1) = -1.
+    #
+    # Proof sketch, from r_exact's identity R = 2/a + sum_i (a_i - 2*r_i)/a_i
+    # with r_i = (a/a_i)^-1 mod a_i.  Let u = q^-1 mod p and v = p^-1 mod q,
+    # in 1..p-1 and 1..q-1.  Then u*q + v*p is 1 mod p*q and lies in
+    # [p + q, 2*p*q), so u*q + v*p = p*q + 1.
+    # - Sigma(p, q, k*p*q - 1), a = p*q*(k*p*q - 1): a/p = -q mod p, a/q = -p
+    #   mod q, and p*q * k = 1 mod k*p*q - 1, so r = (p - u, q - v, k) and
+    #   R = 2/a + 3 - 2 + 2u/p - 2 + 2v/q - 2k/(k*p*q - 1)
+    #     = 2/a + 1 + 2/(p*q) - 2k/(k*p*q - 1) = 2/a + 1 - 2/a = 1.
+    # - Sigma(p, q, k*p*q + 1): a/p = q mod p, a/q = p mod q, and
+    #   p*q * k = -1 mod k*p*q + 1, so r = (u, v, k*p*q + 1 - k) and
+    #   R = 2/a + 3 - 2(p*q + 1)/(p*q) - 2 + 2k/(k*p*q + 1)
+    #     = 2/a - 1 - 2/(p*q) + 2k/(k*p*q + 1) = 2/a - 1 - 2/a = -1.
     rng = random.Random(909)
     for _ in range(200):
         p, q = sorted(random_coprime_triple(rng, hi=40)[:2])

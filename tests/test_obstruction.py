@@ -1,6 +1,7 @@
 """Chain criterion, assembly of X, certification, and family generation."""
 
 import random
+import re
 from math import gcd
 
 import pytest
@@ -365,3 +366,20 @@ def test_independent_family_boundary_passes_compactness():
 def test_family_must_be_nonempty():
     with pytest.raises(InvalidParams):
         Family(())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: certify_family(Family(((2, 2, 3), (2, 2, 5)))), "family member 1 must be SatelliteParams, got tuple"),
+        (lambda: generate_family((2, 2, 3), 3), "family member 1 must be SatelliteParams, got tuple"),
+        (lambda: assemble_X(Family(("a",)), [1]), "family member 1 must be SatelliteParams, got str"),
+        (lambda: Family((SatelliteParams(2, 2, 3), None)), "family member 2 must be SatelliteParams, got NoneType"),
+        # The message never prints the member, so an integer too long to print is no obstacle.
+        (lambda: Family(((10**5000, 2, 3),)), "family member 1 must be SatelliteParams, got tuple"),
+    ],
+    ids=["certify tuples", "generate from a tuple", "assemble a string", "None after a member", "huge integer"],
+)
+def test_family_members_must_be_satellite_params(call, message):
+    with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+        call()
