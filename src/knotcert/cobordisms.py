@@ -29,7 +29,7 @@ from enum import Enum
 from typing import ClassVar, Union
 
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
-from .errors import InvalidParams, _validate_ints
+from .errors import InvalidParams, _shown, _validate_ints
 from .exactmath import SymIntMatrix
 
 
@@ -107,7 +107,7 @@ class BoundaryComponent:
     def __post_init__(self) -> None:
         [m] = _validate_ints([self.multiplicity], "multiplicity")
         if m < 1:
-            raise InvalidParams(f"multiplicity must be >= 1, got {m}")
+            raise InvalidParams(f"multiplicity must be >= 1, got {_shown(m)}")
         object.__setattr__(self, "multiplicity", m)
 
     def reversed(self) -> "BoundaryComponent":
@@ -148,9 +148,9 @@ class CobordismRecord:
         s = self.params
         if self.label is CobordismLabel.Z:
             if c < 1:
-                raise InvalidParams(f"crossing count must be >= 1, got {c}")
+                raise InvalidParams(f"crossing count must be >= 1, got {_shown(c)}")
         elif c != s.n:
-            raise InvalidParams(f"{self.label} attaches n = {s.n} handles, got {c}")
+            raise InvalidParams(f"{self.label} attaches n = {_shown(s.n)} handles, got {_shown(c)}")
         # Moser: 1/k surgery on T_{p,q} is -Sigma(p, q, k*p*q - 1).  Z fills
         # with 1/n, P fills both companion copies with 1/(2n), and R's 1/0
         # filling is S^3, capped with a 4-ball: no outgoing boundary.

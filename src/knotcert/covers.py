@@ -20,7 +20,7 @@ from typing import ClassVar
 
 from .cobordisms import THREE_SPHERE, SatelliteParams, ThreeSphere
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
-from .errors import InvalidParams, UnsupportedSlope, _validate_ints
+from .errors import InvalidParams, UnsupportedSlope, _shown, _validate_ints
 from .exactmath import Slope
 
 # Target-basis classes killed by a filling: the meridian disk class m and
@@ -42,7 +42,7 @@ class TorusGluingMap:
             raise InvalidParams("gluing matrix must be 2x2")
         object.__setattr__(self, "matrix", m)
         if abs(self.determinant) != 1:
-            raise InvalidParams(f"gluing matrix {m} is not unimodular")
+            raise InvalidParams(f"gluing matrix {_shown(m)} is not unimodular")
 
     @property
     def determinant(self) -> int:
@@ -144,7 +144,7 @@ def slope_from_filling(g: TorusGluingMap, killed: tuple[int, int]) -> Slope:
     solution always exists and is unique up to sign.
     """
     if killed not in (KILL_MERIDIAN, KILL_LONGITUDE):
-        raise InvalidParams(f"killed must be (1, 0) or (0, 1), got {killed}")
+        raise InvalidParams(f"killed must be (1, 0) or (0, 1), got {_shown(killed)}")
     m = g.matrix
     det = g.determinant
     # TorusGluingMap guarantees det = +-1, so det * adj is the exact integer
@@ -167,4 +167,4 @@ def moser_identify(p: int, q: int, s: Slope) -> BrieskornSphere | ThreeSphere:
         return THREE_SPHERE
     if s.a == 1 and s.b >= 1:
         return BrieskornSphere(p, q, s.b * p * q - 1, orientation=-1)
-    raise UnsupportedSlope(f"slope {s} is not 1/m with m >= 0")
+    raise UnsupportedSlope(f"slope {_shown(s)} is not 1/m with m >= 0")

@@ -12,21 +12,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvalidParams, _validate_ints
+from .errors import InvalidParams, _shown, _validate_ints
 
 
 def _validate_triple(triple: Sequence[int]) -> list[int]:
     """The one rule for (p, q, k): three ints, p, q >= 2 coprime, k >= 1 (k = 1 for a pair)."""
     values = _validate_ints(triple, "each of p, q, k")
     if len(values) != 3:
-        raise InvalidParams(f"(p, q, k) needs three entries, got {tuple(values)}")
+        raise InvalidParams(f"(p, q, k) needs three entries, got {_shown(tuple(values))}")
     p, q, k = values
     if p < 2 or q < 2:
-        raise InvalidParams(f"p, q must be >= 2, got ({p}, {q})")
+        raise InvalidParams(f"p, q must be >= 2, got {_shown((p, q))}")
     if math.gcd(p, q) != 1:
-        raise InvalidParams(f"p, q must be coprime, got ({p}, {q})")
+        raise InvalidParams(f"p, q must be coprime, got {_shown((p, q))}")
     if k < 1:
-        raise InvalidParams(f"k must be >= 1, got {k}")
+        raise InvalidParams(f"k must be >= 1, got {_shown(k)}")
     return [p, q, k]
 
 
@@ -35,7 +35,7 @@ def _validate_twist(n: int, name: str = "n") -> int:
     gives the pattern nonzero winding number)."""
     [n] = _validate_ints([n], name)
     if n < 2 or n % 2 != 0:
-        raise InvalidParams(f"{name} must be a positive even integer, got {n}")
+        raise InvalidParams(f"{name} must be a positive even integer, got {_shown(n)}")
     return n
 
 
@@ -69,9 +69,9 @@ class BrieskornSphere:
     def __post_init__(self) -> None:
         a = sorted(_validate_ints((self.a1, self.a2, self.a3), "a multiplicity"))
         if a[0] < 2:
-            raise InvalidParams(f"multiplicities must be >= 2, got {tuple(a)}")
+            raise InvalidParams(f"multiplicities must be >= 2, got {_shown(tuple(a))}")
         if math.lcm(*a) != a[0] * a[1] * a[2]:
-            raise InvalidParams(f"multiplicities {tuple(a)} are not pairwise coprime")
+            raise InvalidParams(f"multiplicities {_shown(tuple(a))} are not pairwise coprime")
         object.__setattr__(self, "orientation", _validate_sign(self.orientation))
         object.__setattr__(self, "a1", a[0])
         object.__setattr__(self, "a2", a[1])
@@ -97,7 +97,7 @@ class TauValue:
 
     def __post_init__(self) -> None:
         if not 0 < self.value <= 4:
-            raise InvalidParams(f"tau must lie in (0, 4], got {self.value}")
+            raise InvalidParams(f"tau must lie in (0, 4], got {_shown(self.value)}")
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,13 @@ class H1Data:
     def __post_init__(self) -> None:
         t, beta = _validate_ints((self.torsion_order, self.beta), "each of torsion order, beta")
         if t < 1:
-            raise InvalidParams(f"torsion order must be >= 1, got {t}")
+            raise InvalidParams(f"torsion order must be >= 1, got {_shown(t)}")
         if beta < 0:
-            raise InvalidParams(f"beta must be >= 0, got {beta}")
+            raise InvalidParams(f"beta must be >= 0, got {_shown(beta)}")
         # 2^beta divides T iff T has at least beta factors of 2; counting them
         # never builds 2^beta, however large beta is.
         if (t & -t).bit_length() - 1 < beta:
-            raise InvalidParams(f"2^beta = 2^{beta} does not divide the torsion order {t}")
+            raise InvalidParams(f"2^beta = 2^{_shown(beta)} does not divide the torsion order {_shown(t)}")
         object.__setattr__(self, "torsion_order", t)
         object.__setattr__(self, "beta", beta)
 

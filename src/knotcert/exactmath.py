@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import InvalidParams, _validate_ints
+from .errors import InvalidParams, _shown, _validate_ints
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class Slope:
         if (a, b) == (0, 0):
             raise InvalidParams("slope (0, 0) is not a homology class of a curve")
         if math.gcd(a, b) != 1:
-            raise InvalidParams(f"slope {a}/{b} is not primitive")
+            raise InvalidParams(f"slope {_shown(a)}/{_shown(b)} is not primitive")
         if b < 0 or (b == 0 and a < 0):
             a, b = -a, -b
         object.__setattr__(self, "a", a)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cs_invariants import BrieskornSphere
-from .errors import IntegralityFailure, InvalidParams
+from .errors import IntegralityFailure, InvalidParams, _shown
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
@@ -167,23 +167,20 @@ def _validate_tolerance(tolerance) -> None:
     except (TypeError, ValueError, ArithmeticError):  # Decimal NaN is an ArithmeticError
         valid = False
     if not valid:
-        raise InvalidParams(f"tolerance must lie in (0, 1/2), got {tolerance!r}")
+        raise InvalidParams(f"tolerance must lie in (0, 1/2), got {_shown(tolerance, repr)}")
 
 
 def r_exact(s: BrieskornSphere) -> int:
     """R of a positively oriented Brieskorn sphere by the Neumann-Zagier identity.
 
-    Integer arithmetic only, O(log a) for a = a1*a2*a3.
+    Integer arithmetic only, O(log a) for a = a1*a2*a3.  The division is exact
+    by lemma L4 (a*R is a or -a), and r_invariant checks the sum against it.
     """
     if s.orientation != 1:
         raise InvalidParams("R is defined here for the positive orientation only")
     a = s.a1 * s.a2 * s.a3
     # a*R = 2 + sum_i (a_i - 2*r_i) * (a/a_i)
-    numerator = 2 + sum((ai - 2 * pow(a // ai, -1, ai)) * (a // ai) for ai in s.multiplicities)
-    value, remainder = divmod(numerator, a)
-    if remainder:
-        raise IntegralityFailure(f"R{s.multiplicities} = {numerator}/{a} is not an integer")
-    return value
+    return (2 + sum((ai - 2 * pow(a // ai, -1, ai)) * (a // ai) for ai in s.multiplicities)) // a
 
 
 def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RValue:
@@ -191,13 +188,13 @@ def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RVa
 
     The tolerance (a real number in (0, 1/2)) sets the working precision,
     RValue.precision_bits: DEFAULT_PRECISION_BITS, or more when a1*a2*a3
-    needs it, doubled until 2^-bits is at most the tolerance.  No cap is
-    needed: 2^-bits is a float, 0.0 from 1,075 bits on, and the term budget
-    keeps the start below 190 bits, so bits stay below 2,150.  The sum runs
-    once and must lie within its error bound 2^-(bits + 2) of r_exact, or
-    IntegralityFailure is raised (a broken kernel, never a non-integral R);
-    numeric, the sum rounded to a multiple of 2^-bits, is then R.  A bad
-    tolerance, or more than MAX_COTANGENT_TERMS terms, is InvalidParams.
+    needs it, doubled until 2^-bits is at most the tolerance or, as a float,
+    underflows to 0.0: 2,048 bits from the default start (so for 1e-5000
+    too), below 2,150 from any start the term budget admits, so no tolerance
+    forces a huge sum.  The sum runs once and must lie within 2^-(bits + 2)
+    of r_exact, or IntegralityFailure is raised (a broken kernel, never a
+    non-integral R); numeric is then r_exact.  A bad tolerance, or more than
+    MAX_COTANGENT_TERMS terms, is InvalidParams.
     """
     _validate_tolerance(tolerance)
     exact = r_exact(s)
@@ -205,7 +202,7 @@ def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RVa
     terms = a1 + a2 + a3 - 3
     if terms > MAX_COTANGENT_TERMS:
         raise InvalidParams(
-            f"R({a1},{a2},{a3}) needs {terms} cotangent terms, more than the budget of "
+            f"R({','.join(map(_shown, s.multiplicities))}) needs {_shown(terms)} cotangent terms, more than the budget of "
             f"{MAX_COTANGENT_TERMS}; its exact value (r_exact) is {exact}"
         )
     product = a1 * a2 * a3
@@ -220,5 +217,4 @@ def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RVa
             f"R({a1},{a2},{a3}) rounds to {round(value)} at {bits} bits, but is {float(error):.3g}"
             f" from its exact value (r_exact) {exact}, past the bound 2^-{bits + 2}"
         )
-    numeric = Fraction(round(value * (1 << bits)), 1 << bits)
-    return RValue(numeric=numeric, rounded=exact, residual=Fraction(0), precision_bits=bits)
+    return RValue(numeric=Fraction(exact), rounded=exact, residual=Fraction(0), precision_bits=bits)

@@ -25,16 +25,9 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Sequence
 
-from .cobordisms import (
-    BoundaryComponent,
-    CobordismLabel,
-    CobordismRecord,
-    SatelliteParams,
-    build_R,
-    build_Z,
-)
+from .cobordisms import BoundaryComponent, CobordismLabel, CobordismRecord, SatelliteParams, build_Z
 from .cs_invariants import _growth, _validate_triple, _validate_twist
-from .errors import AllZeroCoefficients, InvalidParams, _validate_ints
+from .errors import AllZeroCoefficients, InvalidParams, _shown, _validate_ints
 from .exactmath import Definiteness, SymIntMatrix
 
 
@@ -165,9 +158,10 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
     normalization note.  The form is the direct sum of the Z block, one R
     block per unit of positive coefficient, and one reversed-P block per
     unit of negative coefficient, each -I, so X is negative definite by
-    construction and its rank is the sum of the handle counts.  Each unit
-    of negative coefficient contributes two copies of
-    +Sigma(p, q, 2n*p*q - 1) to the boundary.
+    construction.  R and P both attach n handles, so each member adds n*|c|
+    to the rank.  R has no outgoing boundary (lemma L5), so no R record is
+    built; a negative coefficient adds |c| times the two copies of
+    +Sigma(p, q, 2n*p*q - 1) that end its reversed P record.
     """
     cs = _validate_ints(coefficients, "a coefficient")
     if len(cs) != len(f.members):
@@ -188,20 +182,12 @@ def assemble_X(f: Family, coefficients: Sequence[int]) -> AssembledManifold:
         )
 
     z = build_Z(members[-1])
-    rank = z.handle_count
+    rank = z.handle_count + sum(member.n * abs(c) for member, c in zip(members, cs))
     boundary = list(z.outgoing)
     for member, c in zip(members, cs):
-        if c == 0:
-            continue
-        # R has no outgoing boundary, so only reversed P adds pieces here.  P is
-        # built reversed, so its boundary is derived once.
-        record = (
-            build_R(member)
-            if c > 0
-            else CobordismRecord(CobordismLabel.P, member, member.n, orientation=-1)
-        )
-        rank += record.handle_count * abs(c)
-        boundary.extend(BoundaryComponent(b.space, b.multiplicity * abs(c)) for b in record.outgoing)
+        if c < 0:  # P is built reversed, so its boundary is derived once
+            p = CobordismRecord(CobordismLabel.P, member, member.n, orientation=-1)
+            boundary.extend(BoundaryComponent(b.space, b.multiplicity * -c) for b in p.outgoing)
 
     return AssembledManifold(
         boundary=tuple(boundary),
@@ -265,7 +251,7 @@ def generate_family(
     """Iterate next_member from a starting point to a family of the given size."""
     [count] = _validate_ints([count], "count")
     if count < 1:
-        raise InvalidParams(f"count must be >= 1, got {count}")
+        raise InvalidParams(f"count must be >= 1, got {_shown(count)}")
     members = [start]
     while len(members) < count:
         # next_member reads only the last member, so each step stays O(1).

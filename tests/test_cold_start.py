@@ -17,7 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The public names of the package as of 0.14.0 (59, as in 0.6.0).
+# The public names of the package as of 0.15.0 (59, as in 0.6.0).
 PUBLIC_NAMES = {
     "AllZeroCoefficients", "AssembledManifold", "BoundaryComponent", "BranchedCover",
     "BrieskornSphere", "ChainCheck", "CobordismLabel", "CobordismRecord",

@@ -11,16 +11,20 @@ The count does not see big-integer cost: a line that multiplies two n-digit
 integers is one event whatever n is, while its time grows with n.  Timing
 stays the benchmark's job.
 
-The law stated here is certification's: certify_family runs a number of
-lines that is affine in the family length L and does not depend on the
-size of n, p or q.  Families are generated outside the trace.
+The laws stated here:
+- certify_family runs a number of lines that is affine in the family
+  length L and does not depend on the size of n, p or q.  Families are
+  generated outside the trace.
+- r_exact runs the same lines whatever the size of the multiplicities.
+- compactness_check runs a number of lines that is affine in the number of
+  boundary triples and does not depend on their digits.
 """
 
 import sys
 from pathlib import Path
 
 import knotcert
-from knotcert import SatelliteParams, certify_family, generate_family
+from knotcert import BrieskornSphere, SatelliteParams, certify_family, compactness_check, generate_family, r_exact
 
 PACKAGE = str(Path(knotcert.__file__).parent)
 
@@ -71,3 +75,23 @@ def test_certify_lines_are_affine_in_the_family_length():
     assert remainder == 0 and per_member > 0
     assert c20 - c10 == 10 * per_member
     assert c40 - c20 == 20 * per_member
+
+
+def test_r_exact_lines_do_not_depend_on_the_multiplicities():
+    small = line_events(r_exact, BrieskornSphere(2, 3, 7))
+    assert small > 0
+    assert line_events(r_exact, BrieskornSphere(2, 3, 10**40 + 1)) == small
+
+
+def compactness_lines(digits: int, count: int) -> int:
+    """compactness_check over count boundary triples of about the given digits."""
+    p, q = 10**digits + 1, 10**digits + 2
+    return line_events(compactness_check, [(p, q, k) for k in range(1, count + 1)], (p, q, 1))
+
+
+def test_compactness_lines_are_affine_in_the_boundary_and_ignore_its_digits():
+    c0, c1, c5, c20 = (compactness_lines(1, count) for count in (0, 1, 5, 20))
+    per_triple = c1 - c0
+    assert per_triple > 0
+    assert (c5, c20) == (c0 + 5 * per_triple, c0 + 20 * per_triple)
+    assert [compactness_lines(digits, 5) for digits in (20, 300)] == [c5, c5]

@@ -1,17 +1,26 @@
 """Closed-form Chern-Simons and Pontryagin quantities, compactness, parity."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knotcert import (
     CompactnessCheck,
     CompactnessReport,
+    Family,
     H1Data,
     InvalidParams,
+    SatelliteParams,
+    certify_family,
     compactness_check,
     count_reducibles,
+    doubled_growth,
+    generate_family,
     lens_cs_lower_bound,
     parity_obstruction,
     pontryagin_number,
@@ -138,3 +147,108 @@ def test_parity_odd_torsion_always_fires():
     for _ in range(50):
         t = 2 * rng.randint(0, 500) + 1
         assert parity_obstruction(H1Data(t, 0)) is True
+
+
+def coprime_pairs(limit):
+    return [(p, q) for p in range(2, limit) for q in range(p + 1, limit + 1) if gcd(p, q) == 1]
+
+
+def assert_head_checks(p, q, k):
+    """Lemma L1 on one terminal: both head checks of compactness_check pass,
+    and p1 is at most 1/30."""
+    report = compactness_check([], (p, q, k))
+    bubbling, lens = report.checks
+    assert bubbling.ok and lens.ok, (p, q, k)
+    assert bubbling.lhs <= Fraction(1, 30)
+
+
+def test_head_checks_of_compactness_hold_on_a_box():
+    # Lemma L1: for valid (p, q, k), p1 = 1/(p*q*(k*p*q - 1)) <= 1/30 < 4,
+    # and p1 < min(1/p, 1/q, 1/(k*p*q - 1)).
+    #
+    # Proof sketch.  p, q >= 2 are coprime, so p*q >= 6 and k*p*q - 1 >= 5:
+    # the denominator is at least 30.  It is p*q times k*p*q - 1, and each
+    # factor exceeds 1, so it exceeds p, q and k*p*q - 1, each of which is
+    # the denominator of one lens bound.  So the bubbling check and the lens
+    # check of compactness_check cannot fail on valid input.
+    for p, q in coprime_pairs(40):
+        for k in range(1, 13):
+            assert_head_checks(p, q, k)
+    assert compactness_check([], (2, 3, 1)).checks[0].lhs == Fraction(1, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**30), st.integers(2, 10**30), st.integers(1, 10**30))
+def test_head_checks_of_compactness_always_hold(p, q, k):
+    assume(p != q and gcd(p, q) == 1)
+    assert_head_checks(p, q, k)
+
+
+def chain_compactness(members):
+    """compactness_check over a chain's ends: each member but the last
+    contributes its doubled sphere (k = 2n), the last one is the terminal."""
+    boundary = [(m.p, m.q, 2 * m.n) for m in members[:-1]]
+    return compactness_check(boundary, (members[-1].p, members[-1].q, members[-1].n))
+
+
+def chain_checks_imply_compactness(members) -> bool:
+    """Lemma L2 on one chain; returns whether the chain passed its chain checks."""
+    passed = certify_family(Family(tuple(members))).verdict.independent
+    if passed:
+        report = chain_compactness(members)
+        assert report.ok, (members, str(report))
+    return passed
+
+
+def test_chain_checks_imply_compactness_on_a_box():
+    # Lemma L2: if a chain passes its chain checks, the chain's
+    # compactness_check report is ok.
+    #
+    # Proof sketch.  single(m) = p*q*(n*p*q - 1) < p*q*(2n*p*q - 1) =
+    # doubled(m).  Passing chain checks give doubled(m_i) < single(m_{i+1}),
+    # so doubled(m_1) < single(m_2) < doubled(m_2) < ... < single(m_L).  The
+    # breaking check for the end of m_i compares p1 = 1/single(m_L) with
+    # tau = 1/doubled(m_i), and doubled(m_i) < single(m_L) for every i < L;
+    # the two head checks hold by lemma L1.
+    #
+    # Every chain of one to three members from the box below, passing or not.
+    box = [SatelliteParams(n, p, q) for n in (2, 4) for p, q in coprime_pairs(7)]
+    passing = 0
+    for length in (1, 2, 3):
+        for members in itertools.product(box, repeat=length):
+            passing += chain_checks_imply_compactness(members)
+    assert passing > len(box) + 100  # the lemma is not vacuous on the box
+
+
+@st.composite
+def passing_chains(draw):
+    """A random chain that passes its chain checks: each member is a random
+    coprime pair with the least even n past the bound, plus a random even
+    offset."""
+    members = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = draw(st.integers(2, 10**6))
+        q = draw(st.integers(2, 10**6).filter(lambda q: q != p and gcd(p, q) == 1))
+        # The least n >= 1 with p*q*(n*p*q - 1) > bound, rounded up to even.
+        bound = doubled_growth(members[-1]) if members else 0
+        n = (bound // (p * q) + 1) // (p * q) + 1
+        members.append(SatelliteParams(n + n % 2 + 2 * draw(st.integers(0, 3)), p, q))
+    return members
+
+
+@settings(max_examples=100, deadline=None)
+@given(passing_chains())
+def test_chain_checks_imply_compactness_on_random_chains(members):
+    assert chain_checks_imply_compactness(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(coprime_pairs(12)),
+    st.integers(1, 3),
+    st.integers(1, 12),
+    st.one_of(st.none(), st.sampled_from([2, 4, 6])),
+)
+def test_chain_checks_imply_compactness_on_generated_chains(pq, half_n, length, fix_n):
+    family = generate_family(SatelliteParams(2 * half_n, *pq), length, fix_n=fix_n)
+    assert chain_checks_imply_compactness(family.members)

@@ -1,5 +1,6 @@
 """Certified integrality of the instanton index cotangent sum."""
 
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -166,9 +167,50 @@ def coprime_triples(draw):
 @settings(max_examples=300, deadline=None)
 @given(coprime_triples())
 def test_r_exact_is_odd_and_below_three_in_absolute_value(triple):
-    # Lemma L4: each (a_i - 2*r_i)/a_i lies in (-1, 1), so |R| < 3 + 2/a, and
-    # R is odd.  So R is 1 or -1, and every certified numeric prints as ±1.0.
+    # Lemma L4: R is 1 or -1.  So R is an integer (lemma I, which makes
+    # r_exact's division exact), and every certified numeric prints as ±1.0.
+    #
+    # Proof sketch.  Let a = a1*a2*a3, b_i = a/a_i and r_i = b_i^-1 mod a_i,
+    # so 1 <= r_i < a_i.  Neumann-Zagier's R = 2/a + sum_i (a_i - 2*r_i)/a_i
+    # reads R = 3 - 2*(S - 1)/a with S = sum_i r_i*b_i, since a_i*b_i = a.
+    # - S = 1 mod a: modulo a_i, r_i*b_i = 1 and every other b_j = 0, so
+    #   S = 1 mod each a_i, hence mod their product a (they are coprime).
+    # - Bounds: sum_i b_i <= S <= 3a - sum_i b_i, from 1 <= r_i <= a_i - 1.
+    #   So 1 < S < 3a, as sum_i b_i > 1.
+    # - So S is a + 1 or 2a + 1, and R = 3 - 2 = 1 or R = 3 - 4 = -1.
+    # Sigma(2,3,5) has S = 31 = a + 1, R = 1; Sigma(2,3,7) has S = 85 =
+    # 2a + 1, R = -1.  test_r_exact_follows_the_s_form_on_a_box states the
+    # S form on a box and as a property.
     assert r_exact(BrieskornSphere(*triple)) in (1, -1)
+
+
+def neumann_zagier_s(a1, a2, a3):
+    """S = sum_i r_i*b_i of lemma L4, with b_i = a/a_i and r_i = b_i^-1 mod a_i."""
+    a = a1 * a2 * a3
+    return a, sum(pow(a // ai, -1, ai) * (a // ai) for ai in (a1, a2, a3))
+
+
+def test_r_exact_follows_the_s_form_on_a_box():
+    # Lemma L4 on a box: every pairwise-coprime 2 <= a1 < a2 < a3 <= 60.
+    count = 0
+    for a1, a2, a3 in itertools.combinations(range(2, 61), 3):
+        if math.gcd(a1, a2) != 1 or math.gcd(a1 * a2, a3) != 1:
+            continue
+        a, s = neumann_zagier_s(a1, a2, a3)
+        assert s in (a + 1, 2 * a + 1), (a1, a2, a3)
+        assert r_exact(BrieskornSphere(a1, a2, a3)) == (1 if s == a + 1 else -1), (a1, a2, a3)
+        count += 1
+    assert count == 9245
+    assert neumann_zagier_s(2, 3, 5) == (30, 31)
+    assert neumann_zagier_s(2, 3, 7) == (42, 85)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_triples())
+def test_r_exact_follows_the_s_form(triple):
+    a, s = neumann_zagier_s(*triple)
+    assert s in (a + 1, 2 * a + 1)
+    assert r_exact(BrieskornSphere(*triple)) == (1 if s == a + 1 else -1)
 
 
 def test_r_exact_matches_oracle_on_random_triples():
@@ -383,7 +425,7 @@ def test_the_tightest_tolerance_needs_no_cap(attempts):
     # 2^-2048 underflows to 0.0, so the doubling stops there even for the
     # smallest positive float, and for a Fraction far below it.
     s = BrieskornSphere(2, 3, 7)
-    for tolerance in (5e-324, Fraction(1, 10**1000)):
+    for tolerance in (5e-324, Fraction(1, 10**1000), Fraction(1, 10**5000)):
         attempts.clear()
         assert r_invariant(s, tolerance=tolerance).precision_bits == 2048
         assert attempts == [2048]

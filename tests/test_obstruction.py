@@ -12,6 +12,7 @@ from knotcert import (
     AllZeroCoefficients,
     BrieskornSphere,
     ChainCheck,
+    CobordismRecord,
     Definiteness,
     Family,
     IndependenceCertificate,
@@ -207,6 +208,41 @@ def test_assemble_always_negative_definite():
         assembled = assemble_X(Family(members), coeffs)
         assert definiteness(assembled.form) is Definiteness.NEGATIVE_DEFINITE
         assert assembled.h1_z2_trivial is True
+
+
+def records_built(family, coefficients=None) -> int:
+    """CobordismRecord constructions while certify_family runs."""
+    built = []
+    post_init = CobordismRecord.__post_init__
+
+    def counted(record):
+        built.append(record)
+        post_init(record)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(CobordismRecord, "__post_init__", counted)
+        certify_family(family, coefficients)
+    return len(built)
+
+
+def test_certify_builds_only_the_Z_and_reversed_P_records():
+    # One Z record, plus one reversed P per coefficient of sign opposite to
+    # the top nonzero one (those are negative once the combination is
+    # normalized).  R has no outgoing boundary (lemma L5) and adds n*|c| to
+    # the rank whatever its sign, so no R record is built.
+    family = generate_family(SatelliteParams(2, 2, 3), 10)
+    assert records_built(family) == 1
+    assert records_built(family, [1] * 10) == 1
+    assert records_built(family, [-1, 2, 0, -3, 1, 1, 0, -1, 4, 5]) == 4
+    assert records_built(family, [1, -2, 0, 3, 0, 0, 0, 0, -1, 0]) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=8).filter(any))
+def test_certify_builds_one_record_plus_one_per_opposite_sign(coefficients):
+    top = next(c for c in reversed(coefficients) if c)
+    family = generate_family(SatelliteParams(2, 2, 3), len(coefficients))
+    assert records_built(family, coefficients) == 1 + sum(c * top < 0 for c in coefficients)
 
 
 def test_certify_with_explicit_coefficients_records_them():

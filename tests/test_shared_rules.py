@@ -10,6 +10,7 @@ here instead.
 """
 
 import ast
+import itertools
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -53,13 +54,14 @@ from knotcert import (
     pattern_gluing_map,
     pontryagin_number,
     post_surgery_gluing,
+    r_invariant,
     reverse_orientation,
     slope_from_filling,
     smith_normal_form,
     tau_brieskorn_family,
 )
 from knotcert import cobordisms, covers
-from knotcert.errors import _validate_ints
+from knotcert.errors import _shown, _validate_ints
 
 SETTINGS = settings(max_examples=60, deadline=None)
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "knotcert"
@@ -220,6 +222,44 @@ def test_the_integer_rule_stores_ints_and_reads_an_iterator_once():
     assert doubled_growth(big) == doubled_growth(SatelliteParams(2**58, 2, 3))
 
 
+HUGE = 10**5000  # past the interpreter's 4,300-digit limit for printing an int
+UNPRINTABLE = [
+    ("BrieskornSphere", lambda: BrieskornSphere(1, 2, HUGE),
+     "multiplicities must be >= 2, got (1, 2, <int of 16610 bits>)"),
+    ("SatelliteParams", lambda: SatelliteParams(2, 2, 2 * HUGE),
+     "p, q must be coprime, got (2, <int of 16611 bits>)"),
+    ("Slope", lambda: Slope(2 * HUGE, 2), "slope <int of 16611 bits>/2 is not primitive"),
+    ("H1Data", lambda: H1Data(-HUGE, 0), "torsion order must be >= 1, got <int of 16610 bits>"),
+    ("build_Z", lambda: build_Z(TREFOIL, crossings=-HUGE),
+     "crossing count must be >= 1, got <int of 16610 bits>"),
+    ("generate_family", lambda: generate_family(TREFOIL, -HUGE),
+     "count must be >= 1, got <int of 16610 bits>"),
+    ("r_invariant budget", lambda: r_invariant(BrieskornSphere(2, 3, HUGE + 1)),
+     "R(2,3,<int of 16610 bits>) needs <int of 16610 bits> cotangent terms, more than the "
+     "budget of 100000; its exact value (r_exact) is 1"),
+    ("r_invariant tolerance", lambda: r_invariant(BrieskornSphere(2, 3, 5), Fraction(HUGE)),
+     "tolerance must lie in (0, 1/2), got <Fraction of 16610 bits>"),
+    ("TorusGluingMap", lambda: TorusGluingMap(((HUGE, 0), (0, 1))),
+     "gluing matrix ((<int of 16610 bits>, 0), (0, 1)) is not unimodular"),
+    ("SatelliteParams Fraction", lambda: SatelliteParams(2, 2, Fraction(HUGE, 3)),
+     "each of p, q, k must be an integer, got <Fraction of 16610 bits>"),
+]
+
+
+@pytest.mark.parametrize("site, call, message", UNPRINTABLE, ids=[site[0] for site in UNPRINTABLE])
+def test_a_value_too_long_to_print_keeps_its_domain_error(site, call, message):
+    # str() of such an int raises ValueError, which InvalidParams subclasses,
+    # so the test asks for InvalidParams and its exact message.
+    with pytest.raises(InvalidParams) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_a_printable_value_reads_as_str_or_repr_gives_it():
+    for value in [(), (1,), (1, "a"), ((1, 2), (3, 4)), 2.5, Fraction(1, 3), "x", None]:
+        assert (_shown(value), _shown(value, repr)) == (str(value), repr(value))
+
+
 def test_Z_crossing_count_rule_lives_in_the_record():
     message = "^crossing count must be >= 1, got 0$"
     with pytest.raises(InvalidParams, match=message):
@@ -251,7 +291,35 @@ def test_filling_slope_maps_to_the_killed_class(steps, flip, killed):
     st.integers(1, 6),
 )
 def test_every_record_states_the_ends_the_surgery_derivation_gives(n, p, q, orientation, crossings):
+    # Lemma L5 as a property; the proof sketch is the helper's docstring.
     assume(gcd(p, q) == 1)
+    assert_record_ends_match_the_derivation(n, p, q, orientation, crossings)
+
+
+def test_record_ends_match_the_derivation_on_a_box():
+    # Lemma L5 on every coprime 2 <= p < q <= 12, n in 2..8 and both orientations.
+    for p in range(2, 12):
+        for q in range(p + 1, 13):
+            if gcd(p, q) == 1:
+                for n, orientation in itertools.product((2, 4, 6, 8), (1, -1)):
+                    assert_record_ends_match_the_derivation(n, p, q, orientation, n - 1)
+
+
+def assert_record_ends_match_the_derivation(n, p, q, orientation, crossings):
+    """Lemma L5: every record's outgoing ends equal the surgery derivation's.
+
+    Proof sketch.  A filling that kills a target basis class c has the slope
+    g^-1(c), up to sign.  Z's gluing mu_K -> -n*mu_A + lambda_A,
+    lambda_K -> mu_A, with the longitude killed, gives slope 1/n; R's and
+    P's post-surgery gluings mu_K -> m + (-n - sign*n)*l, lambda_K -> l,
+    with the meridian killed, give 1/0 for the -1-framed R and 1/(2n) for
+    the +1-framed P.  Moser: 1/k surgery on T_{p,q} is -Sigma(p, q,
+    k*p*q - 1), and 1/0 restores S^3.  So Z ends in one
+    -Sigma(p, q, n*p*q - 1), P in two copies of -Sigma(p, q, 2n*p*q - 1)
+    (it fills both companion copies), and R's S^3 is capped with a 4-ball:
+    R has no outgoing boundary, which assemble_X relies on when it builds
+    no R record.  Reversal reverses every end.
+    """
     s = SatelliteParams(n, p, q)
     # (label, handle count, gluing as built, killed class, copies of the end).
     derivations = [
