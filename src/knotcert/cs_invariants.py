@@ -198,15 +198,19 @@ def compactness_check(
     bubbling), p1 < the lens-space Chern-Simons bound, and p1 < tau of every
     boundary sphere (no breaking).  All comparisons are exact and reported.
     Each triple is validated once; p1 and each tau are 1/_growth of it.
+    Labels show each entry by errors._shown, so an entry past the print
+    limit does not stop the report.
     """
     pN, qN, kN = _validate_triple(terminal)
     p1 = Fraction(1, _growth(pN, qN, kN))
+    lens = f"p1 < lens bound({','.join(map(_shown, (pN, qN, kN)))})"
     checks = [
         CompactnessCheck("p1 < 4 (no bubbling)", p1, Fraction(4)),
-        CompactnessCheck(f"p1 < lens bound({pN},{qN},{kN})", p1, _lens_bound(pN, qN, kN)),
+        CompactnessCheck(lens, p1, _lens_bound(pN, qN, kN)),
     ]
     for p, q, k in map(_validate_triple, boundary):
-        checks.append(CompactnessCheck(f"p1 < tau({p},{q},{k})", p1, Fraction(1, _growth(p, q, k))))
+        label = f"p1 < tau({','.join(map(_shown, (p, q, k)))})"
+        checks.append(CompactnessCheck(label, p1, Fraction(1, _growth(p, q, k))))
     return CompactnessReport(tuple(checks))
 
 

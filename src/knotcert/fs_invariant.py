@@ -16,9 +16,10 @@ the range is, with b_i = a/a_i,
 
 It is evaluated in fixed-point integers at the working precision plus guard
 bits: per multiplicity, integer series for cos and sin of pi/a_i seed a
-rotation through the angles pi*j/a_i, and one table of cot(pi*j/a_i) serves
-both factors.  The outer index is reduced modulo a_i exactly, so huge
-multiplicities do not leak precision, and the terms are summed exactly.
+rotation through the angles pi*j/a_i, which fills a table of cot(pi*j/a_i)
+for the outer factor and one of sin(2*pi*j/a_i) for the inner one.  The
+outer index is reduced modulo a_i exactly, so huge multiplicities do not
+leak precision, and the terms are summed exactly.
 
 The same value has a closed form in integers (Neumann-Zagier, "A note on an
 invariant of Fintushel and Stern", 1985):
@@ -41,10 +42,10 @@ from .errors import IntegralityFailure, InvalidParams, _shown
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
-# r_invariant's sum has sum(a_i - 1) terms, evaluated in pairs at about 0.7 us
-# per term at 128 bits on a 2-core Xeon, so the largest admitted sums take
-# about 75 ms (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones fail with
-# InvalidParams (exit 1) instead of running for minutes.
+# r_invariant's sum has sum(a_i - 1) terms, evaluated in pairs at about 0.5 us
+# per term at 128 bits on a 2-core Xeon (Python 3.11), so the largest admitted
+# sums take about 50 ms (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones
+# fail with InvalidParams (exit 1) instead of running for minutes.
 MAX_COTANGENT_TERMS = 100_000
 
 
@@ -77,9 +78,34 @@ def _pi(prec: int) -> int:
 
 
 def _seed(m: int, pi: int, f: int) -> tuple[int, int]:
-    """cos(pi/m) and sin(pi/m) in units of 2^-f, for m >= 3, given pi = _pi(f + 10):
-    one Taylor series at f + 10 bits, truncated to f bits."""
-    g = f + 10
+    """cos(pi/m) and sin(pi/m) in units of 2^-f, each within 2 units, for m >= 3,
+    given pi = _pi(f + 10).
+
+    With d = max(0, isqrt(f) // 2 + 2 - m.bit_length()) and g = f + 10 + d,
+    the integer pi // m stands for x = pi/(m * 2^d) in units of 2^-g.  One
+    Taylor series gives cos x and sin x at g bits, d doublings
+    (c, s) <- ((c + s)*(c - s), 2*c*s) turn them into cos and sin of pi/m,
+    and the 10 + d guard bits are dropped.  Halving the angle shortens the
+    series by more than the doublings cost once log2(m) falls below about
+    isqrt(f)/2, and d is 0 past that: at f = 2,065 the seed of m = 7 takes
+    21 doublings, and at 128 bits (f < 196) every m >= 128 takes none.
+
+    Error, in units of 2^-g: pi // m is within 1.2 units of x (see _pi).
+    Each Taylor term is truncated once, so with x < 1.05 its error stays
+    below 1.6 units and the omitted tail below 2.6: a series of N terms
+    gives cos x and sin x each within 0.8*N + 4.6 units, so the pair is
+    within 1.2*N + 6.6 units in norm.  A doubling maps (c, s) by twice a
+    rotation to first order, so it doubles the pair's error; the square of
+    that error and the two truncations add under 2 units while f >= 16.  So
+    d doublings end within 2^d * (1.2*N + 8.6) units of 2^-g, that is
+    1.2*N + 8.6 units of 2^-(f + 10), from cos and sin of 2^d times
+    (pi // m) * 2^-g, which is within 1.2 units of 2^-(f + 10) of pi/m.
+    N < 200 for f <= 11,000 (r_invariant stays below 2,150 bits), so the
+    pair is within 0.3 * 2^-f of (cos pi/m, sin pi/m), and dropping the
+    guard bits adds under one unit of 2^-f.
+    """
+    d = max(0, math.isqrt(f) // 2 + 2 - m.bit_length())
+    g = f + 10 + d
     t = pi // m
     sums = [0, 0, 0, 0]  # the terms t^n/n! with n = 0, 1, 2, 3 mod 4
     term, n = 1 << g, 0
@@ -87,7 +113,10 @@ def _seed(m: int, pi: int, f: int) -> tuple[int, int]:
         sums[n % 4] += term
         n += 1
         term = (term * t >> g) // n
-    return (sums[0] - sums[2]) >> 10, (sums[1] - sums[3]) >> 10
+    c, s = sums[0] - sums[2], sums[1] - sums[3]
+    for _ in range(d):
+        c, s = (c + s) * (c - s) >> g, c * s >> g - 1
+    return c >> 10 + d, s >> 10 + d
 
 
 def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> Fraction:
@@ -100,58 +129,64 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> Fraction:
     For each multiplicity m = a_i with h = (m - 1) // 2 > 0 and t = pi/m,
     _seed gives (cos_t, sin_t) from pi = _pi(f + 10), computed once per call;
     the rotation (c, s) <- ((c*cos_t - s*sin_t) >> f, (s*cos_t + c*sin_t) >> f)
-    steps through (cos j*t, sin j*t) for j <= h, and the table holds
-    cot(j*t) = (c << f) // s.  The table serves both factors.  The outer
-    index j = b*k mod m, b = a/m, is reduced in integers (cot is
-    pi-periodic).  b is a unit mod m, so for 0 < k < m/2, j is neither 0 nor
-    m/2 (an even m makes b odd, and b*m/2 = m/2 mod m); past the half,
-    cot(j*t) is -cot((m - j)*t).  The inner factor is sin(2*k*t) =
-    2*c/(1 + c^2) with c = cot(k*t).
+    steps through (cos j*t, sin j*t) for j <= h (its two sums are formed
+    exactly from three products, cos_t*(c + s) - s*(cos_t + sin_t) and
+    cos_t*(c + s) + c*(sin_t - cos_t)), and two tables hold
+    cot(j*t) = (c << f) // s and sin(2*j*t) = 2*c*s, as c*s >> f - 1.  The
+    outer index j = b*k mod m, b = a/m, steps by b mod m and is reduced in
+    integers (cot is pi-periodic).  b is a unit mod m, so for 0 < k < m/2, j
+    is neither 0 nor m/2 (an even m makes b odd, and b*m/2 = m/2 mod m);
+    past the half, cot(j*t) is -cot((m - j)*t).  The inner factor
+    sin(2*k*t) is entry k of the second table, so a term costs one product.
+    The two tables hold 2*h integers of about f bits, twice what the cot
+    table alone held: at the term budget the sum peaks near 6 MB at 128 bits
+    and near 31 MB at 2,048 bits (tracemalloc, Sigma(2,3,99997)).
 
     The guard is 2*L + 11 bits, L = max(a_i).bit_length().  In units of
-    u = 2^-f, with g = f + 10: t = pi // m is within 1.2 * 2^-g (see _pi).
-    Each Taylor term is truncated once, so with t < 1.05 its error stays
-    below 1.6 * 2^-g and the omitted tail below 2.6 * 2^-g: a series of N
-    terms gives cos_t and sin_t each within (0.8*N + 4.6) * 2^-g.  N < 1,270
-    for f <= 11,000 (r_invariant stays below 2,150 bits), so that is under u,
-    and dropping the 10 guard bits adds under u: (cos_t, sin_t) is within 2u
-    of (cos t, sin t).  Each rotation step then adds at most 5u to the error
-    of (c, s), and step j is within 5*j*u.  Since sin(j*t) >= 2*j/m for
-    j <= h, entry j of the table is within 5*m^2/j * u of cot(j*t).  The
-    derivative of 2c/(1 + c^2) is at most 8*sin^2(k*t) near c = cot(k*t),
-    and sin^2(k*t) * m^2/k <= pi*m, so the inner factor is within 127*m*u.
-    |cot(j*t)| <= m/(2*j), so the term at k is within 70*m^2/j * u, and
-    since k -> j permutes 1..h, the sum over k is within
-    70*m^2*(1 + ln m) * u.  Times 2/m, and over three multiplicities, the
-    error is at most 420*M*(1 + ln M) * u < 2^(2*L + 9) * u, M = max a_i,
-    which the guard makes less than 2^-(bits + 2).  Measured errors are at
-    most about M * u, thousands of times below this bound.
+    u = 2^-f: (cos_t, sin_t) is within 2u of (cos t, sin t) (see _seed).
+    Each rotation step then adds at most 5u to the error of (c, s), and step
+    j is within 5*j*u.  Since sin(j*t) >= 2*j/m for j <= h, entry j of the
+    cot table is within 5*m^2/j * u of cot(j*t).  2*c*s moves by at most
+    2*(|dc| + |ds| + |dc*ds|) when c and s move by dc and ds, and the shift
+    truncates by under u, so entry k of the sine table is within
+    (20*k + 1)*u + 50*k^2*u^2 < 10*m*u of sin(2*k*t), as 2*k < m.  With
+    |cot(j*t)| <= m/(2*j) and |sin(2*k*t)| <= 1, the term at k is within
+    (5 + 5 + 1)*m^2/j * u, the 1 bounding the product of the two errors, and
+    since k -> j permutes 1..h, the sum over k is within 11*m^2*(1 + ln m) * u.
+    Times 2/m, and over three multiplicities, the error is at most
+    66*M*(1 + ln M) * u < 2^(2*L + 9) * u, M = max a_i, which the guard makes
+    less than 2^-(bits + 2).  Measured errors are at most about 1.2*M * u,
+    hundreds of times below this bound.
     """
     a = a1 * a2 * a3
     f = bits + 2 * max(a1, a2, a3).bit_length() + 11
     pi = _pi(f + 10)
-    one = 1 << 2 * f
-    numerator = 2 * one  # a * R, in units of 2^-2f
+    numerator = 2 << 2 * f  # a * R, in units of 2^-2f
     for ai in (a1, a2, a3):
         b = a // ai
         half = (ai - 1) // 2
         if not half:
             continue
         cos_t, sin_t = _seed(ai, pi, f)
+        plus, minus = cos_t + sin_t, sin_t - cos_t
         c, s = cos_t, sin_t
         cots = [0] * (half + 1)  # index 0 is never read
+        sines = [0] * (half + 1)
         for j in range(1, half + 1):
             cots[j] = (c << f) // s
-            c, s = (c * cos_t - s * sin_t) >> f, (s * cos_t + c * sin_t) >> f
+            sines[j] = c * s >> f - 1
+            shared = cos_t * (c + s)
+            c, s = (shared - s * plus) >> f, (shared + c * minus) >> f
         inner = 0
+        step, j = b % ai, 0
         for k in range(1, half + 1):
-            c = cots[k]
-            sine = (c << 2 * f + 1) // (one + c * c)
-            j = b * k % ai
+            j += step
+            if j >= ai:
+                j -= ai
             if j <= half:
-                inner += cots[j] * sine
+                inner += cots[j] * sines[k]
             else:
-                inner -= cots[ai - j] * sine
+                inner -= cots[ai - j] * sines[k]
         numerator += 2 * b * inner
     return Fraction(numerator, a << 2 * f)
 

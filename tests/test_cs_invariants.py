@@ -85,10 +85,26 @@ def test_compactness_report_lists_every_comparison():
     assert report.ok
     assert len(report.checks) == 4  # bubbling, lens bound, two boundary taus
     labels = [c.label for c in report.checks]
-    assert labels[0].startswith("p1 < 4")
+    assert labels == [
+        "p1 < 4 (no bubbling)", "p1 < lens bound(2,5,2)", "p1 < tau(2,3,1)", "p1 < tau(2,3,2)",
+    ]
     assert all(c.ok for c in report.checks)
     failing = compactness_check([(2, 5, 2)], (2, 3, 1))
     assert [c.ok for c in failing.checks] == [True, True, False]
+
+
+def test_compactness_report_builds_labels_past_the_print_limit():
+    # An entry past the interpreter's 4,300-digit print limit shows as
+    # errors._shown does; printable entries keep their digits.
+    huge = 10**5000 + 1
+    report = compactness_check([], (huge, 2, 1))
+    assert report.ok
+    assert report.checks[1].label == f"p1 < lens bound(<int of {huge.bit_length()} bits>,2,1)"
+    report = compactness_check([(2, 3, 10**5000)], (2, 5, 2))
+    assert not report.ok
+    assert [c.ok for c in report.checks] == [True, True, False]
+    assert report.checks[2].label == f"p1 < tau(2,3,<int of {(10**5000).bit_length()} bits>)"
+    assert compactness_check([(2, 3, 1)], (2, 3, 10**5000)).ok
 
 
 def test_compactness_check_with_equal_sides_is_not_ok():

@@ -304,11 +304,17 @@ def as_fraction(x: mpmath.mpf) -> Fraction:
 
 
 def assert_within_error_bound(triple, bits, reference=True):
-    """The kernel is within 2^-(bits + 2) of R, its proven bound, and within
-    2*sum(a_i) ulps (2^-bits) of the reference."""
+    """The kernel is within 66*M*(1 + ln M) units of 2^-f of R, M = max a_i,
+    the bound its docstring proves, and so within 2^-(bits + 2) of R; and
+    within 2*sum(a_i) ulps (2^-bits) of the reference.  f is the kernel's
+    working precision, bits plus a guard of 2*M.bit_length() + 11."""
     value = _cotangent_sum(*triple, bits)
     assert isinstance(value, Fraction)
-    assert abs(value - r_exact(BrieskornSphere(*triple))) < Fraction(1, 2 ** (bits + 2))
+    error = abs(value - r_exact(BrieskornSphere(*triple)))
+    assert error < Fraction(1, 2 ** (bits + 2))
+    m = max(triple)
+    f = bits + 2 * m.bit_length() + 11
+    assert error * 2**f <= 66 * m * (1 + math.log(m)), (triple, bits, float(error * 2**f / m))
     if reference:
         oracle = as_fraction(cotangent_sum_reference(*triple, bits))
         assert abs(value - oracle) <= Fraction(2 * sum(triple), 2**bits)
