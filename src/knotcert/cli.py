@@ -140,6 +140,11 @@ def _dump(obj: dict) -> str:
 # its formats, default first, and dispatch alone picks and renders one.
 
 
+def _rows(matrix) -> str:
+    """A matrix as text: "[a, b; c, d]"."""
+    return "[" + "; ".join(", ".join(str(v) for v in row) for row in matrix) + "]"
+
+
 def _cmd_r_invariant(args):
     from . import fs_invariant
 
@@ -223,23 +228,25 @@ def _cmd_cobordism(args):
             f"form of {record.handle_count} handles exceeds the output budget of "
             f"{MAX_FORM_HANDLES} handles"
         )
-    form = record.form
+    # The record carries its form as sign and size; only this output is dense.
+    size = record.handle_count
+    form = [[record.sign if i == j else 0 for j in range(size)] for i in range(size)]
     defin = Definiteness.NEGATIVE_DEFINITE if record.sign < 0 else Definiteness.POSITIVE_DEFINITE
     payload = {
         "label": record.label.value,
         "params": asdict(params),
         "incoming": _component(record.incoming),
         "outgoing": [_component(b) for b in record.outgoing],
-        "form": form.entries,
+        "form": form,
         "definiteness": defin.value,
         "h1_z2_trivial": record.h1_z2_trivial,
-        "handle_count": record.handle_count,
+        "handle_count": size,
     }
     return 0, payload, lambda: "\n".join(
         [
             f"{record}: {record.incoming} -> "
             + (", ".join(str(b) for b in record.outgoing) if record.outgoing else "(empty)"),
-            f"form: {form} ({defin})",
+            f"form: {_rows(form)} ({defin})",
             f"h1_z2_trivial: {record.h1_z2_trivial}",
         ]
     )
@@ -307,15 +314,11 @@ def _cmd_snf(args):
     from . import exactmath
 
     result = exactmath.smith_normal_form(_int_rows(args.matrix, "matrix"))
-
-    def rows_str(rows):
-        return "[" + "; ".join(", ".join(str(v) for v in r) for r in rows) + "]"
-
     return 0, asdict(result), lambda: "\n".join(
         [
             "diagonal: " + ", ".join(str(v) for v in result.diagonal),
-            "left: " + rows_str(result.left),
-            "right: " + rows_str(result.right),
+            "left: " + _rows(result.left),
+            "right: " + _rows(result.right),
         ]
     )
 

@@ -13,8 +13,8 @@ intersection form, and homology flags.  With Sigma = Sigma_2(D_n(T_{p,q})):
 
 All three have trivial integral first homology.  The records are certified
 summaries, not handle-by-handle 4-manifold structures: downstream consumers
-need only boundaries, forms (carried as sign and size, materialised only
-on request), and flags.  A record is its label, parameters, handle count
+need only boundaries, forms (sign * I of the handle count, carried as that
+sign and size), and flags.  A record is its label, parameters, handle count
 and orientation; both boundaries and the form's sign follow from those, so
 a reversed record cannot keep the boundary of the one it reverses.  The
 outgoing ends are stated in closed form, the Moser identification of each
@@ -30,7 +30,6 @@ from typing import ClassVar, Union
 
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
 from .errors import InvalidParams, _shown, _validate_ints
-from .exactmath import SymIntMatrix
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,9 @@ class CobordismRecord:
     component reversed when orientation is -1.  So replace(record,
     orientation=-1) is the reversal.  R and P attach n handles; Z attaches
     one per crossing change, at least one.  The intersection form is
-    sign * I_handle_count, carried as that sign and size; form materialises
-    the dense matrix on each access.  Z, R and P all have trivial first
-    homology, so h1_z2_trivial is a class constant.
+    sign * I_handle_count, carried as that sign and size; a caller that wants
+    the dense matrix builds it with SymIntMatrix.from_rows.  Z, R and P all
+    have trivial first homology, so h1_z2_trivial is a class constant.
     """
 
     label: CobordismLabel
@@ -170,11 +169,6 @@ class CobordismRecord:
     def sign(self) -> int:
         """Handle framing sign: -1 for Z and R, +1 for P, times orientation."""
         return (1 if self.label is CobordismLabel.P else -1) * self.orientation
-
-    @property
-    def form(self) -> SymIntMatrix:
-        """The intersection form sign * I_handle_count as a dense matrix."""
-        return SymIntMatrix.identity(self.handle_count, scale=self.sign)
 
     def __str__(self) -> str:
         sign = "" if self.orientation == 1 else "-"

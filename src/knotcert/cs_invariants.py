@@ -166,7 +166,14 @@ class CompactnessCheck:
 
     def __str__(self) -> str:
         rel = "<" if self.ok else "!<"
-        return f"{self.label}: {self.lhs} {rel} {self.rhs}"
+        return f"{self.label}: {_fraction(self.lhs)} {rel} {_fraction(self.rhs)}"
+
+
+def _fraction(x: Fraction) -> str:
+    """str(x), with each of its integers shown by errors._shown, so a side past
+    the print limit does not stop the report."""
+    shown = _shown(x.numerator)
+    return shown if x.denominator == 1 else f"{shown}/{_shown(x.denominator)}"
 
 
 @dataclass(frozen=True)

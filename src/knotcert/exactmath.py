@@ -81,16 +81,6 @@ class SymIntMatrix:
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SymIntMatrix":
         return cls(rows)
 
-    @classmethod
-    def identity(cls, n: int, scale: int = 1) -> "SymIntMatrix":
-        """scale * I_n (use scale=-1 for the negative definite -I_n)."""
-        return cls.diagonal([scale] * n)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "SymIntMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def dimension(self) -> int:
         return len(self.entries)

@@ -28,7 +28,8 @@ invariant of Fintushel and Stern", 1985):
 
 r_exact evaluates it in O(log a); r_invariant runs the sum once, certifies
 it against r_exact, and refuses more than MAX_COTANGENT_TERMS terms over
-the full range, sum(a_i - 1).  Spheres are cs_invariants.BrieskornSphere.
+the full range, sum(a_i - 1), at its start precision, and half as many per
+doubling of it.  Spheres are cs_invariants.BrieskornSphere.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ DEFAULT_TOLERANCE = 1e-6
 # r_invariant's sum has sum(a_i - 1) terms, evaluated in pairs at about 0.5 us
 # per term at 128 bits on a 2-core Xeon (Python 3.11), so the largest admitted
 # sums take about 50 ms (Sigma(2,3,99997) and Sigma(3,5,99992)); larger ones
-# fail with InvalidParams (exit 1) instead of running for minutes.
+# fail with InvalidParams (exit 1) instead of running for minutes.  A term
+# costs more at a higher precision, so each doubling of it halves the budget.
 MAX_COTANGENT_TERMS = 100_000
 
 
@@ -225,26 +227,28 @@ def r_invariant(s: BrieskornSphere, tolerance: float = DEFAULT_TOLERANCE) -> RVa
     RValue.precision_bits: DEFAULT_PRECISION_BITS, or more when a1*a2*a3
     needs it, doubled until 2^-bits is at most the tolerance or, as a float,
     underflows to 0.0: 2,048 bits from the default start (so for 1e-5000
-    too), below 2,150 from any start the term budget admits, so no tolerance
-    forces a huge sum.  The sum runs once and must lie within 2^-(bits + 2)
-    of r_exact, or IntegralityFailure is raised (a broken kernel, never a
-    non-integral R); numeric is then r_exact.  A bad tolerance, or more than
-    MAX_COTANGENT_TERMS terms, is InvalidParams.
+    too), below 2,150 from any start the term budget admits.  The sum runs
+    once and must lie within 2^-(bits + 2) of r_exact, or IntegralityFailure
+    is raised (a broken kernel, never a non-integral R); numeric is then
+    r_exact.  A bad tolerance is InvalidParams, and so is a sum of more than
+    MAX_COTANGENT_TERMS terms at the start precision, halved per doubling,
+    refused before it runs.
     """
     _validate_tolerance(tolerance)
     exact = r_exact(s)
     a1, a2, a3 = s.multiplicities
-    terms = a1 + a2 + a3 - 3
-    if terms > MAX_COTANGENT_TERMS:
-        raise InvalidParams(
-            f"R({','.join(map(_shown, s.multiplicities))}) needs {_shown(terms)} cotangent terms, more than the budget of "
-            f"{MAX_COTANGENT_TERMS}; its exact value (r_exact) is {exact}"
-        )
-    product = a1 * a2 * a3
-    floor_bits = 50 + math.ceil(10 * math.log10(product))
-    bits = max(DEFAULT_PRECISION_BITS, floor_bits)
+    start = max(DEFAULT_PRECISION_BITS, 50 + math.ceil(10 * math.log10(a1 * a2 * a3)))
+    bits = start
     while math.ldexp(1.0, -bits) > tolerance:
         bits *= 2
+    # Each doubling of the precision halves the term budget.
+    terms, scale = a1 + a2 + a3 - 3, bits // start
+    if terms * scale > MAX_COTANGENT_TERMS:
+        at = f" at {bits} bits" if scale > 1 else ""
+        raise InvalidParams(
+            f"R({','.join(map(_shown, s.multiplicities))}) needs {_shown(terms)} cotangent terms{at}, more than "
+            f"the budget of {MAX_COTANGENT_TERMS // scale}; its exact value (r_exact) is {exact}"
+        )
     value = _cotangent_sum(a1, a2, a3, bits)
     error = abs(value - exact)
     if error >= Fraction(1, 1 << bits + 2):

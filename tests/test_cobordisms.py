@@ -13,16 +13,13 @@ from knotcert import (
     BrieskornSphere,
     CobordismLabel,
     CobordismRecord,
-    Definiteness,
     InvalidParams,
     SatelliteParams,
-    SymIntMatrix,
     ThreeSphere,
     build_P,
     build_R,
     build_Z,
     default_crossing_count,
-    definiteness,
     double_cover_decomposition,
     moser_identify,
     reverse_orientation,
@@ -39,7 +36,7 @@ def coprime_pairs(limit=7):
 def test_build_Z_examples():
     z = build_Z(SatelliteParams(2, 2, 3))
     assert z.handle_count == 1  # trefoil unknots in one crossing change
-    assert z.form == SymIntMatrix.identity(1, scale=-1)
+    assert z.sign == -1
     assert z.outgoing[0].space == BrieskornSphere(2, 3, 11, orientation=-1)
     assert z.outgoing[0].multiplicity == 1
 
@@ -51,7 +48,7 @@ def test_build_Z_examples():
 def test_build_Z_crossing_override():
     z = build_Z(SatelliteParams(2, 2, 3), crossings=5)
     assert z.handle_count == 5
-    assert z.form == SymIntMatrix.identity(5, scale=-1)
+    assert z.sign == -1
     # boundary data does not depend on the unknotting sequence chosen
     assert z.outgoing == build_Z(SatelliteParams(2, 2, 3)).outgoing
     with pytest.raises(InvalidParams):
@@ -60,15 +57,15 @@ def test_build_Z_crossing_override():
 
 def test_build_R_examples():
     r = build_R(SatelliteParams(2, 2, 3))
-    assert r.form == SymIntMatrix.identity(2, scale=-1)
+    assert (r.sign, r.handle_count) == (-1, 2)
     assert r.outgoing == ()
     assert r.h1_z2_trivial is True
-    assert build_R(SatelliteParams(4, 2, 3)).form == SymIntMatrix.identity(4, scale=-1)
+    assert build_R(SatelliteParams(4, 2, 3)).handle_count == 4
 
 
 def test_build_P_examples():
     p = build_P(SatelliteParams(2, 2, 3))
-    assert p.form == SymIntMatrix.identity(2)
+    assert (p.sign, p.handle_count) == (1, 2)
     assert len(p.outgoing) == 1
     assert p.outgoing[0].space == BrieskornSphere(2, 3, 23, orientation=-1)
     assert p.outgoing[0].multiplicity == 2
@@ -92,18 +89,15 @@ def test_label_invariants_exhaustive():
             assert z.label is CobordismLabel.Z
             c = default_crossing_count(p, q)
             assert z.handle_count == c == (p - 1) * (q - 1) // 2
-            assert z.form == SymIntMatrix.identity(c, scale=-1)
-            assert definiteness(z.form) is Definiteness.NEGATIVE_DEFINITE
+            assert z.sign == -1
             assert [b.space for b in z.outgoing] == [
                 BrieskornSphere(p, q, n * p * q - 1, orientation=-1)
             ]
 
-            assert r.form == SymIntMatrix.identity(n, scale=-1)
-            assert definiteness(r.form) is Definiteness.NEGATIVE_DEFINITE
+            assert (r.sign, r.handle_count) == (-1, n)
             assert r.outgoing == ()
 
-            assert pb.form == SymIntMatrix.identity(n)
-            assert definiteness(pb.form) is Definiteness.POSITIVE_DEFINITE
+            assert (pb.sign, pb.handle_count) == (1, n)
             assert pb.outgoing[0].multiplicity == 2
             assert pb.outgoing[0].space == BrieskornSphere(p, q, 2 * n * p * q - 1, orientation=-1)
 
@@ -128,15 +122,14 @@ def test_index_growth_P_exceeds_Z():
 def test_reverse_orientation():
     p = build_P(SatelliteParams(2, 2, 3))
     rev = reverse_orientation(p)
-    assert rev.form == SymIntMatrix.identity(2, scale=-1)
-    assert definiteness(rev.form) is Definiteness.NEGATIVE_DEFINITE
+    assert (rev.sign, rev.handle_count) == (-1, 2)
     assert rev.outgoing[0].space == BrieskornSphere(2, 3, 23, orientation=1)
     assert rev.outgoing[0].multiplicity == 2
     assert rev.incoming.space == BranchedCover(SatelliteParams(2, 2, 3), orientation=-1)
     assert rev.orientation == -1
 
     r = build_R(SatelliteParams(2, 2, 3))
-    assert reverse_orientation(r).form == SymIntMatrix.identity(2)
+    assert reverse_orientation(r).sign == 1
 
 
 def test_setting_orientation_reverses_both_boundaries():

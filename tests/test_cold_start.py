@@ -133,6 +133,11 @@ def test_each_command_loads_only_its_layers(argv, layers):
     assert loaded_after(f"from knotcert.cli import dispatch; assert dispatch({argv!r})[0] == 0") == layers
 
 
+def test_records_load_no_linear_algebra():
+    # A record carries its form as sign and size, so it needs no exactmath.
+    assert loaded_after("import knotcert.cobordisms") == ["cobordisms", "cs_invariants", "errors"]
+
+
 def test_certification_loads_neither_the_surgery_derivation_nor_r():
     assert loaded_after("import knotcert.obstruction") == [
         "cobordisms", "cs_invariants", "errors", "exactmath", "obstruction"

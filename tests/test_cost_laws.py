@@ -18,13 +18,26 @@ The laws stated here:
 - r_exact runs the same lines whatever the size of the multiplicities.
 - compactness_check runs a number of lines that is affine in the number of
   boundary triples and does not depend on their digits.
+- Forms are sign and size: build_Z runs the same lines for 3 crossings as
+  for 10**300, and assemble_X the same lines for a coefficient of 1 as for
+  10**300, as no dense form is built.
 """
 
 import sys
 from pathlib import Path
 
 import knotcert
-from knotcert import BrieskornSphere, SatelliteParams, certify_family, compactness_check, generate_family, r_exact
+from knotcert import (
+    BrieskornSphere,
+    Family,
+    SatelliteParams,
+    assemble_X,
+    build_Z,
+    certify_family,
+    compactness_check,
+    generate_family,
+    r_exact,
+)
 
 PACKAGE = str(Path(knotcert.__file__).parent)
 
@@ -95,3 +108,14 @@ def test_compactness_lines_are_affine_in_the_boundary_and_ignore_its_digits():
     assert per_triple > 0
     assert (c5, c20) == (c0 + 5 * per_triple, c0 + 20 * per_triple)
     assert [compactness_lines(digits, 5) for digits in (20, 300)] == [c5, c5]
+
+
+def test_form_lines_do_not_depend_on_the_handle_count():
+    s = SatelliteParams(2, 2, 3)
+    small = line_events(build_Z, s, 3)
+    assert small > 0
+    assert line_events(build_Z, s, 10**300) == small
+    family = Family((s,))
+    one = line_events(assemble_X, family, [1])
+    assert one > 0
+    assert line_events(assemble_X, family, [10**300]) == one

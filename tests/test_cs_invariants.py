@@ -107,6 +107,31 @@ def test_compactness_report_builds_labels_past_the_print_limit():
     assert compactness_check([(2, 3, 1)], (2, 3, 10**5000)).ok
 
 
+def test_compactness_report_prints_past_the_print_limit():
+    # A side past the print limit shows its integers as errors._shown does.
+    huge = 10**5000 + 1
+    p1 = f"1/<int of {(2 * huge * (2 * huge - 1)).bit_length()} bits>"
+    lens = f"1/<int of {(2 * huge - 1).bit_length()} bits>"
+    assert str(compactness_check([], (huge, 2, 1))).splitlines() == [
+        f"p1 < 4 (no bubbling): {p1} < 4",
+        f"p1 < lens bound(<int of {huge.bit_length()} bits>,2,1): {p1} < {lens}",
+        "compact",
+    ]
+    tau = f"1/<int of {(6 * (6 * 10**5000 - 1)).bit_length()} bits>"
+    assert str(compactness_check([(2, 3, 10**5000)], (2, 3, 1))).splitlines() == [
+        "p1 < 4 (no bubbling): 1/30 < 4",
+        "p1 < lens bound(2,3,1): 1/30 < 1/5",
+        f"p1 < tau(2,3,<int of {(10**5000).bit_length()} bits>): 1/30 !< {tau}",
+        "not certified compact",
+    ]
+
+
+@given(st.fractions(), st.fractions())
+def test_a_printable_check_reads_as_str_of_its_fractions(lhs, rhs):
+    check = CompactnessCheck("c", lhs, rhs)
+    assert str(check) == f"c: {lhs} {'<' if lhs < rhs else '!<'} {rhs}"
+
+
 def test_compactness_check_with_equal_sides_is_not_ok():
     check = CompactnessCheck("p1 < 4 (no bubbling)", Fraction(4), Fraction(4))
     assert not check.ok

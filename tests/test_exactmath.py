@@ -194,7 +194,8 @@ def test_snf_transform_growth_stays_bounded():
 
 
 def test_definiteness_examples():
-    assert definiteness(SymIntMatrix.identity(3, scale=-1)) is Definiteness.NEGATIVE_DEFINITE
+    minus_i3 = SymIntMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    assert definiteness(minus_i3) is Definiteness.NEGATIVE_DEFINITE
     assert definiteness(SymIntMatrix.from_rows([[2, 1], [1, 2]])) is Definiteness.POSITIVE_DEFINITE
     assert definiteness(SymIntMatrix.from_rows([[1, 2], [2, 1]])) is Definiteness.INDEFINITE
 
@@ -210,7 +211,7 @@ def test_definiteness_degenerate_iff_det_zero():
     assert definiteness(SymIntMatrix.from_rows([[2, 4], [4, 8]])) is Definiteness.DEGENERATE
     assert definiteness(SymIntMatrix.from_rows([[0]])) is Definiteness.DEGENERATE
     # mixed signs with a kernel still counts as Degenerate
-    assert definiteness(SymIntMatrix.diagonal([1, -1, 0])) is Definiteness.DEGENERATE
+    assert definiteness(SymIntMatrix.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 0]])) is Definiteness.DEGENERATE
 
 
 def test_definiteness_zero_diagonal_hyperbolic_plane():

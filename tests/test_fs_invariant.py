@@ -244,6 +244,37 @@ def test_term_budget_is_checked_before_any_sum(monkeypatch):
     assert r_invariant(s).rounded == -1
 
 
+def test_each_doubling_of_the_precision_halves_the_term_budget(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("the cotangent sum ran")
+
+    s = BrieskornSphere(2, 3, 7)  # 9 terms; a tolerance of 1e-40 needs 256 bits
+    monkeypatch.setattr(fs_invariant, "MAX_COTANGENT_TERMS", 17)
+    monkeypatch.setattr(fs_invariant, "_cotangent_sum", no_sum)
+    with pytest.raises(InvalidParams) as exc:
+        r_invariant(s, tolerance=1e-40)
+    assert str(exc.value) == (
+        "R(2,3,7) needs 9 cotangent terms at 256 bits, more than the budget of 8; "
+        "its exact value (r_exact) is -1"
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(fs_invariant, "MAX_COTANGENT_TERMS", 18)
+    assert r_invariant(s, tolerance=1e-40).precision_bits == 256
+    assert r_invariant(s).precision_bits == 128  # the start precision keeps the whole budget
+
+
+def test_a_tight_tolerance_on_a_long_sum_is_refused_before_it_runs(monkeypatch):
+    monkeypatch.setattr(fs_invariant, "_cotangent_sum", None)
+    with pytest.raises(InvalidParams) as exc:
+        r_invariant(BrieskornSphere(2, 3, 99997), tolerance=Fraction(1, 10**600))
+    assert str(exc.value) == (
+        "R(2,3,99997) needs 99999 cotangent terms at 2048 bits, more than the budget of 6250; "
+        "its exact value (r_exact) is -1"
+    )
+    monkeypatch.undo()
+    assert r_invariant(BrieskornSphere(3, 5, 7), tolerance=1e-310).precision_bits == 2048
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

@@ -18,12 +18,11 @@ from knotcert import (
     IndependenceCertificate,
     InvalidParams,
     SatelliteParams,
-    SymIntMatrix,
     Verdict,
     assemble_X,
     certify_family,
     compactness_check,
-    definiteness,
+    default_crossing_count,
     doubled_growth,
     furuta_chain_check,
     generate_family,
@@ -149,8 +148,7 @@ def test_assemble_mixed_signs_example():
         (BrieskornSphere(2, 3, 23, orientation=1), 2),
     ]
     # blocks: Z gives -I_2, reversed P gives -I_2, R gives -I_2
-    assert assembled.form.dimension == 6
-    assert definiteness(assembled.form) is Definiteness.NEGATIVE_DEFINITE
+    assert assembled.rank == 6
     assert assembled.h1_z2_trivial is True
     assert assembled.normalization_note is None
 
@@ -158,7 +156,7 @@ def test_assemble_mixed_signs_example():
 def test_assemble_single_member_form_blocks():
     assembled = assemble_X(fam((2, 2, 3)), [1])
     # Z block -I_1 plus one R block -I_2
-    assert assembled.form == SymIntMatrix.identity(3, scale=-1)
+    assert assembled.rank == 3
     assert [bc.space for bc in assembled.boundary] == [BrieskornSphere(2, 3, 11, orientation=-1)]
 
 
@@ -172,7 +170,7 @@ def test_assemble_rejects_all_zero():
 def test_assemble_normalizes_negative_top_coefficient():
     flipped = assemble_X(fam((2, 2, 3)), [-1])
     straight = assemble_X(fam((2, 2, 3)), [1])
-    assert flipped.form == straight.form
+    assert flipped.rank == straight.rank
     assert flipped.boundary == straight.boundary
     assert flipped.normalization_note is not None
     assert "orientation reversal" in flipped.normalization_note
@@ -181,7 +179,7 @@ def test_assemble_normalizes_negative_top_coefficient():
 def test_assemble_drops_trailing_zero_coefficients():
     two = assemble_X(fam((2, 2, 3), (2, 2, 5)), [1, 0])
     one = assemble_X(fam((2, 2, 3)), [1])
-    assert two.form == one.form
+    assert two.rank == one.rank
     assert two.boundary == one.boundary
     assert "trailing zero" in two.normalization_note
 
@@ -192,7 +190,7 @@ def test_assemble_multiplicities_scale_with_coefficients():
     assert cover_pieces[0].space == BrieskornSphere(2, 3, 23, orientation=1)
     assert cover_pieces[0].multiplicity == 6  # two copies per unit of c_i = -3
     # Z(-I_2) + 3 reversed-P blocks (-I_2) + 2 R blocks (-I_2)
-    assert assembled.form.dimension == 2 + 6 + 4
+    assert assembled.rank == 2 + 6 + 4
 
 
 def test_assemble_always_negative_definite():
@@ -206,7 +204,11 @@ def test_assemble_always_negative_definite():
         if all(c == 0 for c in coeffs):
             coeffs[-1] = 1
         assembled = assemble_X(Family(members), coeffs)
-        assert definiteness(assembled.form) is Definiteness.NEGATIVE_DEFINITE
+        # X is -I_rank, negative definite iff it has a handle: Z has at least one.
+        top = max(i for i, c in enumerate(coeffs) if c)
+        z_handles = default_crossing_count(members[top].p, members[top].q)
+        assert assembled.rank == z_handles + sum(abs(c) * m.n for m, c in zip(members, coeffs))
+        assert z_handles >= 1
         assert assembled.h1_z2_trivial is True
 
 
