@@ -10,7 +10,7 @@ growth criterion that certifies infinite families independent in the smooth
 concordance group.  All certificate arithmetic is exact.
 """
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 # Public name -> the submodule that defines it.  Names resolve on first access
 # (PEP 562), so `import knotcert` loads no submodule and no mpmath.
@@ -49,11 +49,11 @@ _EXPORTS = {
     "pontryagin_number": "cs_invariants",
     "tau_brieskorn_family": "cs_invariants",
     "AllZeroCoefficients": "errors",
+    "Definiteness": "errors",
     "IntegralityFailure": "errors",
     "InvalidParams": "errors",
     "KnotcertError": "errors",
     "UnsupportedSlope": "errors",
-    "Definiteness": "exactmath",
     "Slope": "exactmath",
     "SNFResult": "exactmath",
     "SymIntMatrix": "exactmath",

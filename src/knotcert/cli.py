@@ -16,14 +16,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import sys
-from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import InvalidParams, KnotcertError
+from .errors import Definiteness, InvalidParams, KnotcertError
 
 # Each handler imports the layer modules it calls, so a process pays only for
 # its own command.
@@ -94,13 +92,18 @@ def _int_rows(text: str, what: str, width: int | None = None) -> list[tuple[int,
 # docstring is the --help text, so it does not name private functions.)
 
 
+def _fields(value) -> dict:
+    """A value's fields by name, in their order."""
+    return dict(zip(value.__slots__, value._values()))
+
+
 def _space(s: cobordisms.BoundarySpace) -> dict:
     from . import cobordisms
 
     if isinstance(s, cobordisms.BrieskornSphere):
         return {"type": "brieskorn", "multiplicities": s.multiplicities, "orientation": s.orientation}
     if isinstance(s, cobordisms.BranchedCover):
-        return {"type": "cover", **asdict(s.params), "orientation": s.orientation}
+        return {"type": "cover", **_fields(s.params), "orientation": s.orientation}
     if isinstance(s, cobordisms.ThreeSphere):
         return {"type": "s3"}
     raise TypeError(f"unknown boundary space {s!r}")
@@ -130,6 +133,8 @@ def _schema(v):
 
 
 def _dump(obj: dict) -> str:
+    import json
+
     return json.dumps(_schema(obj), sort_keys=True, indent=2)
 
 
@@ -179,7 +184,7 @@ def _cmd_compactness(args):
     payload = {
         "terminal": terminal,
         "boundary": boundary,
-        "checks": [{**asdict(c), "ok": c.ok} for c in report.checks],
+        "checks": [{**_fields(c), "ok": c.ok} for c in report.checks],
         "compact": report.ok,
     }
     return 0, payload, lambda: str(report)
@@ -191,7 +196,7 @@ def _cmd_cover(args):
     params = covers.SatelliteParams(args.n, args.p, args.q)
     dec = covers.double_cover_decomposition(params)
     payload = {
-        "input": asdict(params),
+        "input": _fields(params),
         "exterior_link": {
             "torus_link": dec.exterior_link.link_parameters,
             "components": dec.exterior_link.components,
@@ -212,7 +217,6 @@ def _cmd_cover(args):
 
 def _cmd_cobordism(args):
     from . import cobordisms
-    from .exactmath import Definiteness
 
     params = cobordisms.SatelliteParams(args.n, args.p, args.q)
     if args.crossings is not None and args.kind != "Z":
@@ -234,7 +238,7 @@ def _cmd_cobordism(args):
     defin = Definiteness.NEGATIVE_DEFINITE if record.sign < 0 else Definiteness.POSITIVE_DEFINITE
     payload = {
         "label": record.label.value,
-        "params": asdict(params),
+        "params": _fields(params),
         "incoming": _component(record.incoming),
         "outgoing": [_component(b) for b in record.outgoing],
         "form": form,
@@ -260,8 +264,8 @@ def _cmd_certify(args):
     coefficients = None if args.coefficients is None else _ints(args.coefficients, "coefficient list")
     cert = obstruction.certify_family(family, coefficients)
     payload = {
-        "family": [asdict(m) for m in cert.family.members],
-        "chain_checks": [{**asdict(c), "ok": c.ok} for c in cert.chain_checks],
+        "family": [_fields(m) for m in cert.family.members],
+        "chain_checks": [{**_fields(c), "ok": c.ok} for c in cert.chain_checks],
         "coefficients_tested": cert.coefficients_tested,
         "assembled_boundary": [_component(b) for b in cert.assembled_boundary],
         "total_form_definiteness": cert.total_form_definiteness.value,
@@ -314,7 +318,7 @@ def _cmd_snf(args):
     from . import exactmath
 
     result = exactmath.smith_normal_form(_int_rows(args.matrix, "matrix"))
-    return 0, asdict(result), lambda: "\n".join(
+    return 0, _fields(result), lambda: "\n".join(
         [
             "diagonal: " + ", ".join(str(v) for v in result.diagonal),
             "left: " + _rows(result.left),

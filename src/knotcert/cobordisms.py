@@ -24,39 +24,35 @@ here; the Brieskorn ends are knotcert.cs_invariants.BrieskornSphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar, Union
 
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
-from .errors import InvalidParams, _shown, _validate_ints
+from .errors import InvalidParams, _shown, _validate_ints, _Value
 
 
-@dataclass(frozen=True)
-class SatelliteParams:
+class SatelliteParams(_Value):
     """The triple (n, p, q) defining D_n(T_{p,q}).
 
     n >= 2 must be even (odd n gives the pattern nonzero winding number);
     p, q >= 2 must be coprime.  All three are stored as ints.
     """
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ("n", "p", "q")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _validate_twist(self.n))
-        p, q, _ = _validate_triple((self.p, self.q, 1))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __init__(self, n: int, p: int, q: int):
+        n = _validate_twist(n)
+        p, q, _ = _validate_triple((p, q, 1))
+        self._set(n, p, q)
 
     def __str__(self) -> str:
         return f"D_{self.n}(T({self.p},{self.q}))"
 
 
-@dataclass(frozen=True)
-class ThreeSphere:
+class ThreeSphere(_Value):
     """Orientation-preserving diffeomorphism type of S^3 (amphichiral)."""
+
+    __slots__ = ()
 
     def reversed(self) -> "ThreeSphere":
         return self
@@ -65,15 +61,13 @@ class ThreeSphere:
         return "S^3"
 
 
-@dataclass(frozen=True)
-class BranchedCover:
+class BranchedCover(_Value):
     """The double cover of S^3 branched over D_n(T_{p,q}), with orientation."""
 
-    params: SatelliteParams
-    orientation: int = 1
+    __slots__ = ("params", "orientation")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
+    def __init__(self, params: SatelliteParams, orientation: int = 1):
+        self._set(params, _validate_sign(orientation))
 
     def reversed(self) -> "BranchedCover":
         return BranchedCover(self.params, -self.orientation)
@@ -96,18 +90,16 @@ class CobordismLabel(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(_Value):
     """A boundary piece: an oriented space with a multiplicity >= 1."""
 
-    space: BoundarySpace
-    multiplicity: int = 1
+    __slots__ = ("space", "multiplicity")
 
-    def __post_init__(self) -> None:
-        [m] = _validate_ints([self.multiplicity], "multiplicity")
+    def __init__(self, space: BoundarySpace, multiplicity: int = 1):
+        [m] = _validate_ints([multiplicity], "multiplicity")
         if m < 1:
             raise InvalidParams(f"multiplicity must be >= 1, got {_shown(m)}")
-        object.__setattr__(self, "multiplicity", m)
+        self._set(space, m)
 
     def reversed(self) -> "BoundaryComponent":
         return BoundaryComponent(self.space.reversed(), self.multiplicity)
@@ -117,49 +109,43 @@ class BoundaryComponent:
         return f"{mult}{self.space}"
 
 
-@dataclass(frozen=True)
-class CobordismRecord:
+class CobordismRecord(_Value):
     """Certified summary of one Z/R/P construction.
 
     orientation is +1 for the cobordism as built and -1 for its reversal, and
     it fixes both boundaries: incoming is the cover with that orientation, and
     outgoing, the closed form of the label's filling (one -Sigma(p, q, n*p*q - 1)
     for Z, none for R, two copies of -Sigma(p, q, 2n*p*q - 1) for P), has every
-    component reversed when orientation is -1.  So replace(record,
-    orientation=-1) is the reversal.  R and P attach n handles; Z attaches
+    component reversed when orientation is -1.  So reverse_orientation(record)
+    is the reversal.  R and P attach n handles; Z attaches
     one per crossing change, at least one.  The intersection form is
     sign * I_handle_count, carried as that sign and size; a caller that wants
     the dense matrix builds it with SymIntMatrix.from_rows.  Z, R and P all
     have trivial first homology, so h1_z2_trivial is a class constant.
     """
 
-    label: CobordismLabel
-    params: SatelliteParams
-    handle_count: int
-    orientation: int = 1
-    outgoing: tuple[BoundaryComponent, ...] = field(init=False)
+    __slots__ = ("label", "params", "handle_count", "orientation", "outgoing")
     h1_z2_trivial: ClassVar[bool] = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
-        [c] = _validate_ints([self.handle_count], "handle count")
-        object.__setattr__(self, "handle_count", c)
-        s = self.params
-        if self.label is CobordismLabel.Z:
+    def __init__(self, label: CobordismLabel, params: SatelliteParams, handle_count: int, orientation: int = 1):
+        orientation = _validate_sign(orientation)
+        [c] = _validate_ints([handle_count], "handle count")
+        s = params
+        if label is CobordismLabel.Z:
             if c < 1:
                 raise InvalidParams(f"crossing count must be >= 1, got {_shown(c)}")
         elif c != s.n:
-            raise InvalidParams(f"{self.label} attaches n = {_shown(s.n)} handles, got {_shown(c)}")
+            raise InvalidParams(f"{label} attaches n = {_shown(s.n)} handles, got {_shown(c)}")
         # Moser: 1/k surgery on T_{p,q} is -Sigma(p, q, k*p*q - 1).  Z fills
         # with 1/n, P fills both companion copies with 1/(2n), and R's 1/0
         # filling is S^3, capped with a 4-ball: no outgoing boundary.
-        if self.label is CobordismLabel.R:
+        if label is CobordismLabel.R:
             outgoing = ()
         else:
-            k, copies = (s.n, 1) if self.label is CobordismLabel.Z else (2 * s.n, 2)
-            sphere = BrieskornSphere(s.p, s.q, k * s.p * s.q - 1, orientation=-self.orientation)
+            k, copies = (s.n, 1) if label is CobordismLabel.Z else (2 * s.n, 2)
+            sphere = BrieskornSphere(s.p, s.q, k * s.p * s.q - 1, orientation=-orientation)
             outgoing = (BoundaryComponent(sphere, copies),)
-        object.__setattr__(self, "outgoing", outgoing)
+        self._set(label, params, c, orientation, outgoing)
 
     @property
     def incoming(self) -> BoundaryComponent:
@@ -212,4 +198,4 @@ def build_P(s: SatelliteParams) -> CobordismRecord:
 def reverse_orientation(r: CobordismRecord) -> CobordismRecord:
     """Orientation reversal: flips the orientation, hence the form's sign and
     definiteness class, and every boundary component.  An involution."""
-    return replace(r, orientation=-r.orientation)
+    return CobordismRecord(r.label, r.params, r.handle_count, -r.orientation)

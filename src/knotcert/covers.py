@@ -15,12 +15,11 @@ and the columns of a gluing matrix are the images of (mu, lambda).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
 from .cobordisms import THREE_SPHERE, SatelliteParams, ThreeSphere
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
-from .errors import InvalidParams, UnsupportedSlope, _shown, _validate_ints
+from .errors import InvalidParams, UnsupportedSlope, _shown, _validate_ints, _Value
 from .exactmath import Slope
 
 # Target-basis classes killed by a filling: the meridian disk class m and
@@ -29,18 +28,17 @@ KILL_MERIDIAN = (1, 0)
 KILL_LONGITUDE = (0, 1)
 
 
-@dataclass(frozen=True)
-class TorusGluingMap:
+class TorusGluingMap(_Value):
     """Unimodular identification of torus homology; columns are the images
     of (meridian, longitude) in the target (meridian, longitude) basis."""
 
-    matrix: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        m = tuple(tuple(_validate_ints(row, "a gluing matrix entry")) for row in self.matrix)
+    def __init__(self, matrix: tuple[tuple[int, int], tuple[int, int]]):
+        m = tuple(tuple(_validate_ints(row, "a gluing matrix entry")) for row in matrix)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise InvalidParams("gluing matrix must be 2x2")
-        object.__setattr__(self, "matrix", m)
+        self._set(m)
         if abs(self.determinant) != 1:
             raise InvalidParams(f"gluing matrix {_shown(m)} is not unimodular")
 
@@ -64,15 +62,14 @@ class TorusGluingMap:
         )
 
 
-@dataclass(frozen=True)
-class TorusLinkExterior:
+class TorusLinkExterior(_Value):
     """Exterior of the (2, -2n) torus link; its two unknotted components
     A1, A2 are the lifts of the satellite axis."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _validate_twist(self.n))
+    def __init__(self, n: int):
+        self._set(_validate_twist(n))
 
     @property
     def link_parameters(self) -> tuple[int, int]:
@@ -83,8 +80,7 @@ class TorusLinkExterior:
         return ("A1", "A2")
 
 
-@dataclass(frozen=True)
-class CoverDecomposition:
+class CoverDecomposition(_Value):
     """Splitting of the branched double cover along two tori.
 
     The cover is the union of the (2, -2n) link exterior and two copies of
@@ -93,8 +89,11 @@ class CoverDecomposition:
     lambda_K to mu_{A_i}, so both follow from n alone.
     """
 
-    exterior_link: TorusLinkExterior
+    __slots__ = ("exterior_link",)
     companion_copies: ClassVar[int] = 2
+
+    def __init__(self, exterior_link: TorusLinkExterior):
+        self._set(exterior_link)
 
     @property
     def gluings(self) -> tuple[TorusGluingMap, TorusGluingMap]:

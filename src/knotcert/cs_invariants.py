@@ -8,11 +8,10 @@ a triple (p, q, k) always refers to that sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InvalidParams, _shown, _validate_ints
+from .errors import InvalidParams, _shown, _validate_ints, _Value
 
 
 def _validate_triple(triple: Sequence[int]) -> list[int]:
@@ -52,8 +51,7 @@ def _growth(p: int, q: int, k: int) -> int:
     return p * q * (k * p * q - 1)
 
 
-@dataclass(frozen=True)
-class BrieskornSphere:
+class BrieskornSphere(_Value):
     """Oriented Brieskorn homology sphere Sigma(a1, a2, a3).
 
     Multiplicities are an unordered multiset: they are stored sorted
@@ -61,21 +59,15 @@ class BrieskornSphere:
     Sigma and -1 for the reversed -Sigma.
     """
 
-    a1: int
-    a2: int
-    a3: int
-    orientation: int = 1
+    __slots__ = ("a1", "a2", "a3", "orientation")
 
-    def __post_init__(self) -> None:
-        a = sorted(_validate_ints((self.a1, self.a2, self.a3), "a multiplicity"))
+    def __init__(self, a1: int, a2: int, a3: int, orientation: int = 1):
+        a = sorted(_validate_ints((a1, a2, a3), "a multiplicity"))
         if a[0] < 2:
             raise InvalidParams(f"multiplicities must be >= 2, got {_shown(tuple(a))}")
         if math.lcm(*a) != a[0] * a[1] * a[2]:
             raise InvalidParams(f"multiplicities {_shown(tuple(a))} are not pairwise coprime")
-        object.__setattr__(self, "orientation", _validate_sign(self.orientation))
-        object.__setattr__(self, "a1", a[0])
-        object.__setattr__(self, "a2", a[1])
-        object.__setattr__(self, "a3", a[2])
+        self._set(*a, _validate_sign(orientation))
 
     @property
     def multiplicities(self) -> tuple[int, int, int]:
@@ -89,19 +81,18 @@ class BrieskornSphere:
         return f"{sign}Sigma({self.a1},{self.a2},{self.a3})"
 
 
-@dataclass(frozen=True)
-class TauValue:
+class TauValue(_Value):
     """Minimal Chern-Simons difference of a 3-manifold, a rational in (0, 4]."""
 
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.value <= 4:
-            raise InvalidParams(f"tau must lie in (0, 4], got {_shown(self.value)}")
+    def __init__(self, value: Fraction):
+        if not 0 < value <= 4:
+            raise InvalidParams(f"tau must lie in (0, 4], got {_shown(value)}")
+        self._set(value)
 
 
-@dataclass(frozen=True)
-class H1Data:
+class H1Data(_Value):
     """First-homology data of a 4-manifold: torsion order T and the defect
     beta = rank H_1(.; Z/2) - rank H_1(.; Z).
 
@@ -111,11 +102,10 @@ class H1Data:
     this rule belongs to no space and is rejected.
     """
 
-    torsion_order: int
-    beta: int
+    __slots__ = ("torsion_order", "beta")
 
-    def __post_init__(self) -> None:
-        t, beta = _validate_ints((self.torsion_order, self.beta), "each of torsion order, beta")
+    def __init__(self, torsion_order: int, beta: int):
+        t, beta = _validate_ints((torsion_order, beta), "each of torsion order, beta")
         if t < 1:
             raise InvalidParams(f"torsion order must be >= 1, got {_shown(t)}")
         if beta < 0:
@@ -124,8 +114,7 @@ class H1Data:
         # never builds 2^beta, however large beta is.
         if (t & -t).bit_length() - 1 < beta:
             raise InvalidParams(f"2^beta = 2^{_shown(beta)} does not divide the torsion order {_shown(t)}")
-        object.__setattr__(self, "torsion_order", t)
-        object.__setattr__(self, "beta", beta)
+        self._set(t, beta)
 
 
 def tau_brieskorn_family(p: int, q: int, k: int) -> TauValue:
@@ -152,13 +141,13 @@ def _lens_bound(p: int, q: int, k: int) -> Fraction:
     return min(Fraction(1, p), Fraction(1, q), Fraction(1, k * p * q - 1))
 
 
-@dataclass(frozen=True)
-class CompactnessCheck:
+class CompactnessCheck(_Value):
     """One strict comparison lhs < rhs in the compactness report."""
 
-    label: str
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = ("label", "lhs", "rhs")
+
+    def __init__(self, label: str, lhs: Fraction, rhs: Fraction):
+        self._set(label, lhs, rhs)
 
     @property
     def ok(self) -> bool:
@@ -176,11 +165,13 @@ def _fraction(x: Fraction) -> str:
     return shown if x.denominator == 1 else f"{shown}/{_shown(x.denominator)}"
 
 
-@dataclass(frozen=True)
-class CompactnessReport:
+class CompactnessReport(_Value):
     """Outcome of the bubbling/breaking exclusion test; truthy iff compact."""
 
-    checks: tuple[CompactnessCheck, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CompactnessCheck, ...]):
+        self._set(checks)
 
     @property
     def ok(self) -> bool:

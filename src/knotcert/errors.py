@@ -1,12 +1,14 @@
-"""Exception types shared across the library, the one integer-input rule, and
-_shown, the one way a message shows a caller's value.
+"""The layer every module shares: the exception types, the one integer-input
+rule, _shown (the one way a message shows a caller's value), _Value (the base
+of every value type) and Definiteness.
 
 Every domain error derives from KnotcertError so callers (and the CLI) can
-distinguish invalid mathematical input from genuine bugs.  Both helpers sit
-in this lowest layer so that every module can use them.
+distinguish invalid mathematical input from genuine bugs.  All of it sits in
+this lowest layer so that every module can use it without loading another.
 """
 
 import operator
+from enum import Enum
 from typing import Iterable
 
 
@@ -54,3 +56,60 @@ def _shown(value, show=str) -> str:
     except Exception:
         bits = getattr(getattr(value, "numerator", None), "bit_length", None)
         return f"<{type(value).__name__} of {bits()} bits>" if bits else f"<unprintable {type(value).__name__}>"
+
+
+class Definiteness(Enum):
+    """Sign type of a symmetric integer bilinear form."""
+
+    POSITIVE_DEFINITE = "PositiveDefinite"
+    NEGATIVE_DEFINITE = "NegativeDefinite"
+    INDEFINITE = "Indefinite"
+    DEGENERATE = "Degenerate"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class _Value:
+    """Base of the value types: immutable, equal and hashed field by field.
+
+    A subclass lists its fields in __slots__, and its __init__ validates them
+    and stores them with one _set call; copy and pickle go through _rebuilt.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self._values())
+
+
+def _rebuilt(cls: type, values: tuple) -> _Value:
+    """A value of cls with these fields, as copy and pickle rebuild it."""
+    value = object.__new__(cls)
+    value._set(*values)
+    return value

@@ -9,15 +9,12 @@ into floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import InvalidParams, _shown, _validate_ints
+from .errors import Definiteness, InvalidParams, _shown, _validate_ints, _Value
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(_Value):
     """A surgery slope a/b on a knot: the class a*mu + b*lambda killed by the filling.
 
     Stored in canonical form: gcd(a, b) == 1 and b > 0, except for the formal
@@ -25,42 +22,32 @@ class Slope:
     The constructor canonicalizes signs and rejects non-primitive classes.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        a, b = _validate_ints((self.a, self.b), "each of a, b")
+    def __init__(self, a: int, b: int):
+        a, b = _validate_ints((a, b), "each of a, b")
         if (a, b) == (0, 0):
             raise InvalidParams("slope (0, 0) is not a homology class of a curve")
         if math.gcd(a, b) != 1:
             raise InvalidParams(f"slope {_shown(a)}/{_shown(b)} is not primitive")
         if b < 0 or (b == 0 and a < 0):
             a, b = -a, -b
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._set(a, b)
 
     def __str__(self) -> str:
         return f"{self.a}/{self.b}"
 
 
-class Definiteness(Enum):
-    """Sign type of a symmetric integer bilinear form."""
-
-    POSITIVE_DEFINITE = "PositiveDefinite"
-    NEGATIVE_DEFINITE = "NegativeDefinite"
-    INDEFINITE = "Indefinite"
-    DEGENERATE = "Degenerate"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class SymIntMatrix:
+class SymIntMatrix(_Value):
     """Symmetric integer matrix of dimension >= 1, stored as an immutable
     tuple of row tuples of ints."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Iterable[Iterable[int]]):
+        # The checks and normalisation stay in __post_init__, which bench/tracer.py wraps.
+        self._set(entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # Lists first: tuple(generator) resizes as it grows, fragmenting the heap.
@@ -75,7 +62,7 @@ class SymIntMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise InvalidParams(f"matrix is not symmetric at ({i}, {j})")
-        object.__setattr__(self, "entries", rows)
+        self._set(rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "SymIntMatrix":
@@ -89,17 +76,19 @@ class SymIntMatrix:
         return "[" + "; ".join(", ".join(str(v) for v in row) for row in self.entries) + "]"
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Value):
     """Smith normal form D = left @ A @ right.
 
     diagonal holds the invariant factors (non-negative, each dividing the
     next, zeros trailing); left and right are unimodular (det = +-1).
     """
 
-    diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
+    __slots__ = ("diagonal", "left", "right")
+
+    def __init__(
+        self, diagonal: tuple[int, ...], left: tuple[tuple[int, ...], ...], right: tuple[tuple[int, ...], ...]
+    ):
+        self._set(diagonal, left, right)
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:

@@ -35,11 +35,10 @@ doubling of it.  Spheres are cs_invariants.BrieskornSphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cs_invariants import BrieskornSphere
-from .errors import IntegralityFailure, InvalidParams, _shown
+from .errors import IntegralityFailure, InvalidParams, _shown, _Value
 
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_TOLERANCE = 1e-6
@@ -51,14 +50,13 @@ DEFAULT_TOLERANCE = 1e-6
 MAX_COTANGENT_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class RValue:
+class RValue(_Value):
     """A certified evaluation of R: numeric value, nearest integer, residual."""
 
-    numeric: Fraction
-    rounded: int
-    residual: Fraction
-    precision_bits: int
+    __slots__ = ("numeric", "rounded", "residual", "precision_bits")
+
+    def __init__(self, numeric: Fraction, rounded: int, residual: Fraction, precision_bits: int):
+        self._set(numeric, rounded, residual, precision_bits)
 
 
 def _pi(prec: int) -> int:

@@ -22,29 +22,26 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Sequence
 
 from .cobordisms import BoundaryComponent, CobordismLabel, CobordismRecord, SatelliteParams, build_Z
 from .cs_invariants import _growth, _validate_triple, _validate_twist
-from .errors import AllZeroCoefficients, InvalidParams, _shown, _validate_ints
-from .exactmath import Definiteness
+from .errors import AllZeroCoefficients, Definiteness, InvalidParams, _shown, _validate_ints, _Value
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Value):
     """Ordered, nonempty family of satellite parameters."""
 
-    members: tuple[SatelliteParams, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
+    def __init__(self, members: Iterable[SatelliteParams]):
+        members = tuple(members)
         if not members:
             raise InvalidParams("a family needs at least one member")
         for i, m in enumerate(members, 1):
             if not isinstance(m, SatelliteParams):
                 raise InvalidParams(f"family member {i} must be SatelliteParams, got {type(m).__name__}")
-        object.__setattr__(self, "members", members)
+        self._set(members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -53,24 +50,27 @@ class Family:
         return "{" + ", ".join(str(m) for m in self.members) + "}"
 
 
-@dataclass(frozen=True)
-class ChainCheck:
-    """One consecutive-pair inequality lhs < rhs, with exact integer sides."""
+class ChainCheck(_Value):
+    """One consecutive-pair inequality lhs < rhs, with exact integer sides;
+    index is 1-based: members[index-1] vs members[index]."""
 
-    index: int  # 1-based pair index: members[index-1] vs members[index]
-    lhs: int
-    rhs: int
+    __slots__ = ("index", "lhs", "rhs")
+
+    def __init__(self, index: int, lhs: int, rhs: int):
+        self._set(index, lhs, rhs)
 
     @property
     def ok(self) -> bool:
         return self.lhs < self.rhs
 
 
-@dataclass(frozen=True, kw_only=True)
-class Verdict:
+class Verdict(_Value):
     """Independent, or the first consecutive pair whose inequality fails."""
 
-    failing_index: int | None = None
+    __slots__ = ("failing_index",)
+
+    def __init__(self, *, failing_index: int | None = None):
+        self._set(failing_index)
 
     @property
     def independent(self) -> bool:
@@ -80,39 +80,33 @@ class Verdict:
         return "Independent" if self.independent else f"CriterionFails({self.failing_index})"
 
 
-@dataclass(frozen=True)
-class AssembledManifold:
+class AssembledManifold(_Value):
     """Boundary and intersection-form data of the closed-up manifold X.  Every
     Z/R/P piece is -I (Z and R as built, P reversed), so the form is -I_rank.
     The pieces have trivial H_1, so h1_z2_trivial is constant."""
 
-    boundary: tuple[BoundaryComponent, ...]
-    rank: int
-    normalization_note: str | None = None
+    __slots__ = ("boundary", "rank", "normalization_note")
     h1_z2_trivial: ClassVar[bool] = True
 
+    def __init__(self, boundary: tuple[BoundaryComponent, ...], rank: int, normalization_note: str | None = None):
+        self._set(boundary, rank, normalization_note)
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+
+class IndependenceCertificate(_Value):
     """Chain checks over consecutive members and the boundary of X for a combination
     (all ones if none), both derived from the family and combination at construction."""
 
-    family: Family
-    coefficients_tested: tuple[int, ...] | None = None
-    chain_checks: tuple[ChainCheck, ...] = field(init=False)
-    assembled_boundary: tuple[BoundaryComponent, ...] = field(init=False)
+    __slots__ = ("family", "coefficients_tested", "chain_checks", "assembled_boundary")
     total_form_definiteness: ClassVar[Definiteness] = Definiteness.NEGATIVE_DEFINITE
     h1_z2_trivial: ClassVar[bool] = True
 
-    def __post_init__(self) -> None:
-        tested, members = self.coefficients_tested, self.family.members
+    def __init__(self, family: Family, coefficients_tested: Iterable[int] | None = None):
+        tested, members = coefficients_tested, family.members
         if tested is not None:
             tested = tuple(_validate_ints(tested, "a coefficient"))
-            object.__setattr__(self, "coefficients_tested", tested)
         checks = _chain_checks(map(doubled_growth, members[:-1]), map(single_growth, members[1:]))
-        object.__setattr__(self, "chain_checks", checks)
-        assembled = assemble_X(self.family, [1] * len(members) if tested is None else tested)
-        object.__setattr__(self, "assembled_boundary", assembled.boundary)
+        assembled = assemble_X(family, [1] * len(members) if tested is None else tested)
+        self._set(family, tested, checks, assembled.boundary)
 
     @property
     def verdict(self) -> Verdict:

@@ -1,7 +1,6 @@
 """The Z/R/P cobordism records: boundaries, forms, reversal."""
 
 import itertools
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -136,11 +135,12 @@ def test_setting_orientation_reverses_both_boundaries():
     s = SatelliteParams(2, 2, 3)
     for builder in (build_Z, build_R, build_P):
         built = builder(s)
-        flipped = replace(built, orientation=-1)
+        flipped = CobordismRecord(built.label, built.params, built.handle_count, -1)
         assert flipped == reverse_orientation(built)
         assert flipped.incoming == built.incoming.reversed()
         assert flipped.outgoing == tuple(b.reversed() for b in built.outgoing)
-    flipped = replace(build_P(s), orientation=-1)
+    built = build_P(s)
+    flipped = CobordismRecord(built.label, built.params, built.handle_count, -1)
     assert flipped.sign == -1
     assert flipped.incoming == BoundaryComponent(BranchedCover(s, orientation=-1))
     assert flipped.outgoing == (BoundaryComponent(BrieskornSphere(2, 3, 23), multiplicity=2),)

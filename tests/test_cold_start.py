@@ -1,12 +1,14 @@
 """What a fresh process loads: `import knotcert` loads no submodule,
 `knotcert.exactmath` loads no other layer and no `fractions`, each command
-loads only the layers it calls, and no command or demo 01 needs mpmath,
-which only the tests' oracles use.
+loads only the layers it calls, no command or demo 01 needs mpmath, which
+only the tests' oracles use, and no command or layer loads `dataclasses` or
+`inspect`, which the value types do without.
 
 Each check runs in a new interpreter, because the imports of other tests in
 this process would hide a module that is loaded too early.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -101,13 +103,14 @@ def test_every_command_and_demo_01_run_without_mpmath():
 
 # The knotcert submodules that each command loads through dispatch.  Only
 # r-invariant, or an explicit --tolerance, loads R's kernel (fs_invariant);
-# only cover loads the surgery derivation (covers).
-CERTIFY_LAYERS = ["cli", "cobordisms", "cs_invariants", "errors", "exactmath", "obstruction"]
+# only cover loads the surgery derivation (covers); Definiteness lives in
+# errors, so cobordism, certify and generate load no linear algebra.
+CERTIFY_LAYERS = ["cli", "cobordisms", "cs_invariants", "errors", "obstruction"]
 COMMAND_LAYERS = [
     (["tau", "2", "3", "1"], ["cli", "cs_invariants", "errors"]),
     (["compactness", "--terminal", "2,5,2", "--boundary", "2,3,1"], ["cli", "cs_invariants", "errors"]),
     (["cover", "2", "2", "3"], ["cli", "cobordisms", "covers", "cs_invariants", "errors", "exactmath"]),
-    (["cobordism", "R", "2", "2", "3"], ["cli", "cobordisms", "cs_invariants", "errors", "exactmath"]),
+    (["cobordism", "R", "2", "2", "3"], ["cli", "cobordisms", "cs_invariants", "errors"]),
     (["certify", "--family", "2,2,3;2,2,5"], CERTIFY_LAYERS),
     (["generate", "--start", "2,2,3", "--count", "3", "--fix-n", "2"], CERTIFY_LAYERS),
     (["snf", "2,0;0,3"], ["cli", "errors", "exactmath"]),
@@ -139,9 +142,42 @@ def test_records_load_no_linear_algebra():
 
 
 def test_certification_loads_neither_the_surgery_derivation_nor_r():
-    assert loaded_after("import knotcert.obstruction") == [
-        "cobordisms", "cs_invariants", "errors", "exactmath", "obstruction"
-    ]
+    assert loaded_after("import knotcert.obstruction") == ["cobordisms", "cs_invariants", "errors", "obstruction"]
+
+
+LAYERS = ["cli", "cobordisms", "covers", "cs_invariants", "errors", "exactmath", "fs_invariant", "obstruction"]
+
+
+def test_no_command_or_layer_loads_dataclasses_or_inspect():
+    loaded = run_fresh(
+        f"""
+        import json, sys
+        from knotcert.cli import dispatch
+        codes = [dispatch(argv)[0] for argv in {COMMANDS!r}]
+        for layer in {LAYERS!r}:
+            __import__("knotcert." + layer)
+        print(json.dumps({{"codes": codes, "loaded": [m for m in ("dataclasses", "inspect") if m in sys.modules]}}))
+        """
+    )
+    assert loaded == {"codes": [0] * len(COMMANDS), "loaded": []}
+
+
+def test_no_package_module_imports_dataclasses():
+    importers = []
+    for path in sorted((ROOT / "src" / "knotcert").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert importers == []
+    assert sorted(p.stem for p in (ROOT / "src" / "knotcert").glob("*.py")) == sorted(
+        [*LAYERS, "__init__", "__main__"]
+    )
 
 
 def test_brieskorn_sphere_loads_only_its_family_rules():

@@ -215,14 +215,14 @@ def test_assemble_always_negative_definite():
 def records_built(family, coefficients=None) -> int:
     """CobordismRecord constructions while certify_family runs."""
     built = []
-    post_init = CobordismRecord.__post_init__
+    init = CobordismRecord.__init__
 
-    def counted(record):
+    def counted(record, *args, **kwargs):
         built.append(record)
-        post_init(record)
+        init(record, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(CobordismRecord, "__post_init__", counted)
+        monkeypatch.setattr(CobordismRecord, "__init__", counted)
         certify_family(family, coefficients)
     return len(built)
 

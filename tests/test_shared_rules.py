@@ -12,7 +12,6 @@ here instead.
 import ast
 import itertools
 import re
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -150,7 +149,7 @@ def test_every_site_applies_the_same_orientation_rule(o):
     sites = [
         ("orientation", lambda o: BranchedCover(params, o)),
         ("orientation", lambda o: BrieskornSphere(2, 3, 5, o)),
-        ("orientation", lambda o: replace(build_R(params), orientation=o)),
+        ("orientation", lambda o: CobordismRecord(CobordismLabel.R, params, params.n, o)),
         ("handle_sign", lambda o: post_surgery_gluing(2, o)),
     ]
     for name, fn in sites:

@@ -10,7 +10,6 @@ boundaries, checked against the as-built spheres.
 
 import itertools
 import time
-from dataclasses import replace
 from math import gcd
 
 from hypothesis import given, settings
@@ -20,6 +19,7 @@ from knotcert import (
     BoundaryComponent,
     BranchedCover,
     BrieskornSphere,
+    CobordismRecord,
     Definiteness,
     Family,
     SatelliteParams,
@@ -57,7 +57,7 @@ def satellites(max_n):
 def test_record_form_is_its_sign_times_identity(s, label, crossings, orientation):
     builders = {"Z": lambda: build_Z(s, crossings=crossings), "R": lambda: build_R(s), "P": lambda: build_P(s)}
     built = builders[label]()
-    record = replace(built, orientation=orientation)
+    record = CobordismRecord(built.label, built.params, built.handle_count, orientation)
     assert record == (built if orientation == 1 else reverse_orientation(built))
     npq = s.n * s.p * s.q
     as_built = {
