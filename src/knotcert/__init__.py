@@ -10,7 +10,7 @@ growth criterion that certifies infinite families independent in the smooth
 concordance group.  All certificate arithmetic is exact.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 # Public name -> the submodule that defines it.  Names resolve on first access
 # (PEP 562), so `import knotcert` loads no submodule and no mpmath.
@@ -29,6 +29,7 @@ _EXPORTS = {
     "reverse_orientation": "cobordisms",
     "KILL_LONGITUDE": "covers",
     "KILL_MERIDIAN": "covers",
+    "Slope": "covers",
     "CoverDecomposition": "covers",
     "TorusGluingMap": "covers",
     "TorusLinkExterior": "covers",
@@ -54,7 +55,6 @@ _EXPORTS = {
     "InvalidParams": "errors",
     "KnotcertError": "errors",
     "UnsupportedSlope": "errors",
-    "Slope": "exactmath",
     "SNFResult": "exactmath",
     "SymIntMatrix": "exactmath",
     "definiteness": "exactmath",

@@ -5,7 +5,8 @@ positive half twists (n even, so the pattern is nullhomologous in the solid
 torus); D_n(T_{p,q}) is the satellite with companion the (p, q) torus knot.
 Its double branched cover splits along two tori into the exterior of the
 (2, -2n) torus link and two copies of the companion exterior; this module
-records that splitting as exact matrix data and derives its filling slopes.
+records that splitting as exact matrix data and derives its filling slopes,
+as Slope values.
 knotcert.cobordisms defines these spaces; certification never loads this.
 
 Basis convention: homology classes on a torus are column vectors over the
@@ -15,17 +16,41 @@ and the columns of a gluing matrix are the images of (mu, lambda).
 
 from __future__ import annotations
 
+import math
 from typing import ClassVar
 
 from .cobordisms import THREE_SPHERE, SatelliteParams, ThreeSphere
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
 from .errors import InvalidParams, UnsupportedSlope, _shown, _validate_ints, _Value
-from .exactmath import Slope
 
 # Target-basis classes killed by a filling: the meridian disk class m and
 # the longitude class l of the filled solid torus.
 KILL_MERIDIAN = (1, 0)
 KILL_LONGITUDE = (0, 1)
+
+
+class Slope(_Value):
+    """A surgery slope a/b on a knot: the class a*mu + b*lambda killed by the filling.
+
+    Stored in canonical form: gcd(a, b) == 1 and b > 0, except for the formal
+    slope 1/0 (the meridional filling, which restores S^3) stored as (1, 0).
+    The constructor canonicalizes signs and rejects non-primitive classes.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        a, b = _validate_ints((a, b), "each of a, b")
+        if (a, b) == (0, 0):
+            raise InvalidParams("slope (0, 0) is not a homology class of a curve")
+        if math.gcd(a, b) != 1:
+            raise InvalidParams(f"slope {_shown(a)}/{_shown(b)} is not primitive")
+        if b < 0 or (b == 0 and a < 0):
+            a, b = -a, -b
+        self._set(a, b)
+
+    def __str__(self) -> str:
+        return f"{self.a}/{self.b}"
 
 
 class TorusGluingMap(_Value):

@@ -1,4 +1,4 @@
-"""Surgery slopes and exact integer linear algebra.
+"""Exact integer linear algebra: symmetric forms, Smith form, definiteness.
 
 Everything in this module is pure and exact: arbitrary-precision Python
 integers, no floating point anywhere.  Downstream modules rely on that
@@ -12,30 +12,6 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import Definiteness, InvalidParams, _shown, _validate_ints, _Value
-
-
-class Slope(_Value):
-    """A surgery slope a/b on a knot: the class a*mu + b*lambda killed by the filling.
-
-    Stored in canonical form: gcd(a, b) == 1 and b > 0, except for the formal
-    slope 1/0 (the meridional filling, which restores S^3) stored as (1, 0).
-    The constructor canonicalizes signs and rejects non-primitive classes.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        a, b = _validate_ints((a, b), "each of a, b")
-        if (a, b) == (0, 0):
-            raise InvalidParams("slope (0, 0) is not a homology class of a curve")
-        if math.gcd(a, b) != 1:
-            raise InvalidParams(f"slope {_shown(a)}/{_shown(b)} is not primitive")
-        if b < 0 or (b == 0 and a < 0):
-            a, b = -a, -b
-        self._set(a, b)
-
-    def __str__(self) -> str:
-        return f"{self.a}/{self.b}"
 
 
 class SymIntMatrix(_Value):

@@ -17,9 +17,11 @@ the range is, with b_i = a/a_i,
 It is evaluated in fixed-point integers at the working precision plus guard
 bits: per multiplicity, integer series for cos and sin of pi/a_i seed a
 rotation through the angles pi*j/a_i, which fills a table of cot(pi*j/a_i)
-for the outer factor and one of sin(2*pi*j/a_i) for the inner one.  The
-outer index is reduced modulo a_i exactly, so huge multiplicities do not
-leak precision, and the terms are summed exactly.
+for the outer factor and one of sin(2*pi*j/a_i) for the inner one.  pi and
+the seeds depend only on the precision and a_i, so a process computes each
+once while it stays in a small cache of fixed size.  The outer index is
+reduced modulo a_i exactly, so huge multiplicities do not leak precision,
+and the terms are summed exactly.
 
 The same value has a closed form in integers (Neumann-Zagier, "A note on an
 invariant of Fintushel and Stern", 1985):
@@ -34,6 +36,7 @@ doubling of it.  Spheres are cs_invariants.BrieskornSphere.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -48,6 +51,13 @@ DEFAULT_TOLERANCE = 1e-6
 # fail with InvalidParams (exit 1) instead of running for minutes.  A term
 # costs more at a higher precision, so each doubling of it halves the budget.
 MAX_COTANGENT_TERMS = 100_000
+# Sizes of the caches of _pi and _seed.  One kernel call needs one pi and up
+# to three seeds, and the r_spectrum benchmark's mix of sizes uses 12
+# precisions; the seeds of the small multiplicities, which recur in every
+# family, stay warm while the large ones pass through.  No cached value costs more than one series to
+# rebuild, and nothing whose cost grows with a_i (a table, a sum) is cached.
+_PI_CACHE_SIZE = 32
+_SEED_CACHE_SIZE = 64
 
 
 class RValue(_Value):
@@ -59,6 +69,7 @@ class RValue(_Value):
         self._set(numeric, rounded, residual, precision_bits)
 
 
+@functools.lru_cache(maxsize=_PI_CACHE_SIZE)
 def _pi(prec: int) -> int:
     """pi * 2^prec rounded to nearest, by Machin's formula 16*atan(1/5) - 4*atan(1/239).
 
@@ -77,9 +88,10 @@ def _pi(prec: int) -> int:
     return (total + (1 << 19)) >> 20
 
 
-def _seed(m: int, pi: int, f: int) -> tuple[int, int]:
+@functools.lru_cache(maxsize=_SEED_CACHE_SIZE)
+def _seed(m: int, f: int) -> tuple[int, int]:
     """cos(pi/m) and sin(pi/m) in units of 2^-f, each within 2 units, for m >= 3,
-    given pi = _pi(f + 10).
+    from pi = _pi(f + 10).
 
     With d = max(0, isqrt(f) // 2 + 2 - m.bit_length()) and g = f + 10 + d,
     the integer pi // m stands for x = pi/(m * 2^d) in units of 2^-g.  One
@@ -106,7 +118,7 @@ def _seed(m: int, pi: int, f: int) -> tuple[int, int]:
     """
     d = max(0, math.isqrt(f) // 2 + 2 - m.bit_length())
     g = f + 10 + d
-    t = pi // m
+    t = _pi(f + 10) // m
     sums = [0, 0, 0, 0]  # the terms t^n/n! with n = 0, 1, 2, 3 mod 4
     term, n = 1 << g, 0
     while term:
@@ -127,10 +139,10 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> Fraction:
     point: an integer x stands for x * 2^-f, with f = bits + guard.
 
     For each multiplicity m = a_i with h = (m - 1) // 2 > 0 and t = pi/m,
-    _seed gives (cos_t, sin_t) from pi = _pi(f + 10), computed once per call;
-    the rotation (c, s) <- ((c*cos_t - s*sin_t) >> f, (s*cos_t + c*sin_t) >> f)
-    steps through (cos j*t, sin j*t) for j <= h (its two sums are formed
-    exactly from three products, cos_t*(c + s) - s*(cos_t + sin_t) and
+    _seed(m, f) gives (cos_t, sin_t); the rotation
+    (c, s) <- ((c*cos_t - s*sin_t) >> f, (s*cos_t + c*sin_t) >> f) steps
+    through (cos j*t, sin j*t) for j <= h (its two sums are formed exactly
+    from three products, cos_t*(c + s) - s*(cos_t + sin_t) and
     cos_t*(c + s) + c*(sin_t - cos_t)), and two tables hold
     cot(j*t) = (c << f) // s and sin(2*j*t) = 2*c*s, as c*s >> f - 1.  The
     outer index j = b*k mod m, b = a/m, steps by b mod m and is reduced in
@@ -160,14 +172,13 @@ def _cotangent_sum(a1: int, a2: int, a3: int, bits: int) -> Fraction:
     """
     a = a1 * a2 * a3
     f = bits + 2 * max(a1, a2, a3).bit_length() + 11
-    pi = _pi(f + 10)
     numerator = 2 << 2 * f  # a * R, in units of 2^-2f
     for ai in (a1, a2, a3):
         b = a // ai
         half = (ai - 1) // 2
         if not half:
             continue
-        cos_t, sin_t = _seed(ai, pi, f)
+        cos_t, sin_t = _seed(ai, f)
         plus, minus = cos_t + sin_t, sin_t - cos_t
         c, s = cos_t, sin_t
         cots = [0] * (half + 1)  # index 0 is never read

@@ -103,13 +103,14 @@ def test_every_command_and_demo_01_run_without_mpmath():
 
 # The knotcert submodules that each command loads through dispatch.  Only
 # r-invariant, or an explicit --tolerance, loads R's kernel (fs_invariant);
-# only cover loads the surgery derivation (covers); Definiteness lives in
-# errors, so cobordism, certify and generate load no linear algebra.
+# only cover loads the surgery derivation (covers), with its Slope, so no
+# linear algebra; Definiteness lives in errors, so cobordism, certify and
+# generate load none either.
 CERTIFY_LAYERS = ["cli", "cobordisms", "cs_invariants", "errors", "obstruction"]
 COMMAND_LAYERS = [
     (["tau", "2", "3", "1"], ["cli", "cs_invariants", "errors"]),
     (["compactness", "--terminal", "2,5,2", "--boundary", "2,3,1"], ["cli", "cs_invariants", "errors"]),
-    (["cover", "2", "2", "3"], ["cli", "cobordisms", "covers", "cs_invariants", "errors", "exactmath"]),
+    (["cover", "2", "2", "3"], ["cli", "cobordisms", "covers", "cs_invariants", "errors"]),
     (["cobordism", "R", "2", "2", "3"], ["cli", "cobordisms", "cs_invariants", "errors"]),
     (["certify", "--family", "2,2,3;2,2,5"], CERTIFY_LAYERS),
     (["generate", "--start", "2,2,3", "--count", "3", "--fix-n", "2"], CERTIFY_LAYERS),

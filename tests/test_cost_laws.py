@@ -16,6 +16,9 @@ The laws stated here:
   length L and does not depend on the size of n, p or q.  Families are
   generated outside the trace.
 - r_exact runs the same lines whatever the size of the multiplicities.
+- With R's caches of pi and of the seeds warm, _cotangent_sum runs the same
+  lines at 128 bits as at 2,048, and a cold call runs more: pi and the
+  seeds are the only series whose length grows with the precision.
 - compactness_check runs a number of lines that is affine in the number of
   boundary triples and does not depend on their digits.
 - Forms are sign and size: build_Z runs the same lines for 3 crossings as
@@ -38,6 +41,7 @@ from knotcert import (
     generate_family,
     r_exact,
 )
+from knotcert.fs_invariant import _cotangent_sum, _pi, _seed
 
 PACKAGE = str(Path(knotcert.__file__).parent)
 
@@ -94,6 +98,18 @@ def test_r_exact_lines_do_not_depend_on_the_multiplicities():
     small = line_events(r_exact, BrieskornSphere(2, 3, 7))
     assert small > 0
     assert line_events(r_exact, BrieskornSphere(2, 3, 10**40 + 1)) == small
+
+
+def test_warm_r_kernel_lines_do_not_depend_on_the_precision():
+    for triple in ((2, 3, 7), (3, 5, 1001)):
+        cold, warm = {}, {}
+        for bits in (128, 2048):
+            _pi.cache_clear()
+            _seed.cache_clear()
+            cold[bits] = line_events(_cotangent_sum, *triple, bits)
+            warm[bits] = line_events(_cotangent_sum, *triple, bits)
+            assert cold[bits] > warm[bits] > 0, (triple, bits)
+        assert warm[128] == warm[2048], triple
 
 
 def compactness_lines(digits: int, count: int) -> int:

@@ -3,6 +3,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knotcert import (
     KILL_LONGITUDE,
@@ -63,6 +65,41 @@ def test_decomposition_is_pattern_only_data():
 def test_gluing_map_must_be_unimodular():
     with pytest.raises(InvalidParams):
         TorusGluingMap(((2, 0), (0, 1)))
+
+
+def test_slope_canonicalization():
+    assert Slope(-1, -2) == Slope(1, 2)
+    assert Slope(2, -3) == Slope(-2, 3)
+    assert Slope(-1, 0) == Slope(1, 0)
+    assert str(Slope(1, 4)) == "1/4"
+    assert str(Slope(1, 0)) == "1/0"
+
+
+def test_slope_rejects_invalid():
+    with pytest.raises(InvalidParams):
+        Slope(0, 0)
+    with pytest.raises(InvalidParams):
+        Slope(2, 4)
+    with pytest.raises(InvalidParams):
+        Slope(3, 0)
+
+
+@given(st.integers(), st.integers())
+def test_slope_canonical_form_property(a, b):
+    if gcd(a, b) != 1:
+        with pytest.raises(InvalidParams):
+            Slope(a, b)
+        return
+    s = Slope(a, b)
+    assert s == Slope(-a, -b)
+    assert (s.a, s.b) in ((a, b), (-a, -b))
+    assert s.b > 0 or (s.a, s.b) == (1, 0)
+
+
+@given(st.integers(), st.integers(), st.integers(2, 10**6))
+def test_slope_rejects_every_non_primitive_pair(a, b, m):
+    with pytest.raises(InvalidParams):
+        Slope(m * a, m * b)
 
 
 def test_slope_examples():

@@ -1,6 +1,5 @@
-"""Exact linear algebra: Smith form, definiteness, slopes, rationals."""
+"""Exact linear algebra: Smith form, definiteness, rationals."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from sympy.matrices.normalforms import invariant_factors
 from knotcert import (
     Definiteness,
     InvalidParams,
-    Slope,
     SymIntMatrix,
     definiteness,
     smith_normal_form,
@@ -330,7 +328,7 @@ def test_direct_sum_of_negative_definite_blocks_is_negative_definite():
         assert definiteness(SymIntMatrix.from_rows(rows)) is Definiteness.NEGATIVE_DEFINITE
 
 
-# --- rationals and slopes ---------------------------------------------------
+# --- rationals ------------------------------------------------------------
 
 
 def test_rational_arithmetic_is_exact():
@@ -340,38 +338,3 @@ def test_rational_arithmetic_is_exact():
         b = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
         assert (a + b) - b == a
         assert a.denominator > 0
-
-
-def test_slope_canonicalization():
-    assert Slope(-1, -2) == Slope(1, 2)
-    assert Slope(2, -3) == Slope(-2, 3)
-    assert Slope(-1, 0) == Slope(1, 0)
-    assert str(Slope(1, 4)) == "1/4"
-    assert str(Slope(1, 0)) == "1/0"
-
-
-def test_slope_rejects_invalid():
-    with pytest.raises(InvalidParams):
-        Slope(0, 0)
-    with pytest.raises(InvalidParams):
-        Slope(2, 4)
-    with pytest.raises(InvalidParams):
-        Slope(3, 0)
-
-
-@given(st.integers(), st.integers())
-def test_slope_canonical_form_property(a, b):
-    if math.gcd(a, b) != 1:
-        with pytest.raises(InvalidParams):
-            Slope(a, b)
-        return
-    s = Slope(a, b)
-    assert s == Slope(-a, -b)
-    assert (s.a, s.b) in ((a, b), (-a, -b))
-    assert s.b > 0 or (s.a, s.b) == (1, 0)
-
-
-@given(st.integers(), st.integers(), st.integers(2, 10**6))
-def test_slope_rejects_every_non_primitive_pair(a, b, m):
-    with pytest.raises(InvalidParams):
-        Slope(m * a, m * b)

@@ -157,10 +157,10 @@ def test_r_exact_on_both_ends_of_the_surgery_family_in_a_box():
 
 
 @st.composite
-def coprime_triples(draw):
-    first = draw(st.integers(2, 10**6))
-    second = draw(st.integers(2, 10**9).filter(lambda m: math.gcd(m, first) == 1))
-    third = draw(st.integers(2, 10**30).filter(lambda m: math.gcd(m, first * second) == 1))
+def coprime_triples(draw, highs=(10**6, 10**9, 10**30)):
+    first = draw(st.integers(2, highs[0]))
+    second = draw(st.integers(2, highs[1]).filter(lambda m: math.gcd(m, first) == 1))
+    third = draw(st.integers(2, highs[2]).filter(lambda m: math.gcd(m, first * second) == 1))
     return first, second, third
 
 
@@ -381,27 +381,52 @@ def test_cotangent_sum_is_within_its_bound_on_random_triples():
             assert_within_error_bound(random_coprime_triple(rng, hi=300), bits, reference=False)
 
 
-def test_cotangent_sum_makes_at_most_one_trig_call_per_multiplicity(monkeypatch):
-    # One pi per kernel call, and one seed (cos and sin of pi/m) per
-    # multiplicity m >= 3.
-    calls = []
+def trig_work(*args) -> tuple[int, int]:
+    """(pis, seeds) computed, not fetched from their caches, by _cotangent_sum(*args)."""
+    pis, seeds = _pi.cache_info().misses, _seed.cache_info().misses
+    _cotangent_sum(*args)
+    return _pi.cache_info().misses - pis, _seed.cache_info().misses - seeds
 
-    def counted(name):
-        original = getattr(fs_invariant, name)
 
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
+def test_cotangent_sum_makes_at_most_one_trig_call_per_multiplicity(cold_trig_caches):
+    # At most one pi per precision in a process, and one seed (cos and sin of
+    # pi/m) per multiplicity m >= 3 and precision: a repeated (m, f) does no
+    # series work.  1001 has 10 bits, so these calls at 128 bits share one f.
+    assert trig_work(2, 3, 1001, 128) == (1, 2)
+    assert trig_work(2, 3, 1001, 128) == (0, 0)
+    assert trig_work(3, 5, 1001, 128) == (0, 1)
+    assert trig_work(5, 7, 1001, 256) == (1, 3)
+    assert trig_work(2, 5, 7, 256) == (1, 2)  # 7 has 3 bits: a new f
 
-        return wrapper
 
-    for name in ("_pi", "_seed"):
-        monkeypatch.setattr(fs_invariant, name, counted(name))
-    _cotangent_sum(2, 3, 1001, 128)
-    assert calls == ["_pi", "_seed", "_seed"]
-    calls.clear()
-    _cotangent_sum(5, 7, 1001, 256)
-    assert calls == ["_pi", "_seed", "_seed", "_seed"]
+@settings(max_examples=60, deadline=None)
+@given(coprime_triples((60, 400, 400)), st.sampled_from([128, 256, 2048]))
+def test_caches_give_the_same_sum_and_seeds_as_fresh_series(triple, bits):
+    # The caches hold pure functions of prec and (m, f), so a warm call
+    # returns the identical Fraction, and each cached seed is the series.
+    _pi.cache_clear()
+    _seed.cache_clear()
+    cold = _cotangent_sum(*triple, bits)
+    assert _cotangent_sum(*triple, bits) == cold
+    f = bits + 2 * max(triple).bit_length() + 11
+    for m in triple:
+        if m >= 3:
+            cached = _seed(m, f)
+            _pi.cache_clear()
+            assert _seed.__wrapped__(m, f) == cached
+
+
+def test_caches_stay_within_their_bounds():
+    assert _pi.cache_info().maxsize == fs_invariant._PI_CACHE_SIZE
+    assert _seed.cache_info().maxsize == fs_invariant._SEED_CACHE_SIZE
+    for f in range(100, 100 + 2 * fs_invariant._PI_CACHE_SIZE):
+        for m in (3, 5, 7, 1000 + f):
+            _seed(m, f)
+    for triple in ((2, 3, 5), (3, 5, 7), (5, 7, 1001), (7, 11, 4001)):
+        for bits in (128, 256, 512):
+            _cotangent_sum(*triple, bits)
+    assert _pi.cache_info().currsize == fs_invariant._PI_CACHE_SIZE
+    assert _seed.cache_info().currsize == fs_invariant._SEED_CACHE_SIZE
 
 
 def test_machin_pi_is_rounded_to_nearest():
@@ -413,12 +438,11 @@ def test_machin_pi_is_rounded_to_nearest():
 
 
 @pytest.mark.parametrize("f", [20, 64, 160, 700, 2200, 4200])
-def test_seed_is_within_two_units(f):
+def test_seed_is_within_two_units(f, cold_trig_caches):
     # cos(pi/m) and sin(pi/m) in units of 2^-f, each within 2 units; m = 3
     # runs the longest series.
-    pi = _pi(f + 10)
     for m in [*range(3, 80), 1000, 1024, 99997, 10**9]:
-        cos_t, sin_t = _seed(m, pi, f)
+        cos_t, sin_t = _seed(m, f)
         with mpmath.workprec(f + 64):
             scale = mpmath.mpf(2) ** f
             assert abs(cos_t - mpmath.cos(mpmath.pi / m) * scale) < 2, m
