@@ -19,14 +19,10 @@ import io
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
+# The one layer imported here: each handler imports the layer modules it
+# calls, so a process pays only for its own command.
 from .errors import Definiteness, InvalidParams, KnotcertError
-
-# Each handler imports the layer modules it calls, so a process pays only for
-# its own command.
-if TYPE_CHECKING:
-    from . import cobordisms, obstruction
 
 # cobordism prints its dense n x n form; larger records fail with
 # InvalidParams (exit 1) instead of printing n^2 entries.
@@ -97,23 +93,21 @@ def _fields(value) -> dict:
     return dict(zip(value.__slots__, value._values()))
 
 
-def _space(s: cobordisms.BoundarySpace) -> dict:
+def _space(s) -> dict:
+    """A Brieskorn sphere (every outgoing and assembled end) or a cover (an
+    incoming end): no command prints an S^3 end."""
     from . import cobordisms
 
     if isinstance(s, cobordisms.BrieskornSphere):
         return {"type": "brieskorn", "multiplicities": s.multiplicities, "orientation": s.orientation}
-    if isinstance(s, cobordisms.BranchedCover):
-        return {"type": "cover", **_fields(s.params), "orientation": s.orientation}
-    if isinstance(s, cobordisms.ThreeSphere):
-        return {"type": "s3"}
-    raise TypeError(f"unknown boundary space {s!r}")
+    return {"type": "cover", **_fields(s.params), "orientation": s.orientation}
 
 
-def _component(bc: cobordisms.BoundaryComponent) -> dict:
+def _component(bc) -> dict:
     return {"space": _space(bc.space), "multiplicity": bc.multiplicity}
 
 
-def _verdict(v: obstruction.Verdict) -> dict:
+def _verdict(v) -> dict:
     if v.independent:
         return {"kind": "Independent"}
     return {"kind": "CriterionFails", "failing_index": v.failing_index}
@@ -283,8 +277,6 @@ def _cmd_certify(args):
 
 
 def _cmd_generate(args):
-    import csv
-
     from . import obstruction
 
     n, p, q = _ints(args.start, "--start", 3)
@@ -304,14 +296,10 @@ def _cmd_generate(args):
         for i, m in enumerate(family.members)
     ]
 
-    def text():
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, ["index", "n", "p", "q", "lhs", "rhs"], lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue().rstrip("\n")
-
-    return 0, {"rows": rows}, text
+    # Every field is an integer, so a CSV row is its fields joined by commas.
+    return 0, {"rows": rows}, lambda: "\n".join(
+        ["index,n,p,q,lhs,rhs", *(",".join(map(str, row.values())) for row in rows)]
+    )
 
 
 def _cmd_snf(args):

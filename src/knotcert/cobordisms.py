@@ -25,7 +25,6 @@ here; the Brieskorn ends are knotcert.cs_invariants.BrieskornSphere.
 from __future__ import annotations
 
 from enum import Enum
-from typing import ClassVar, Union
 
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
 from .errors import InvalidParams, _shown, _validate_ints, _Value
@@ -78,7 +77,7 @@ class BranchedCover(_Value):
 
 
 THREE_SPHERE = ThreeSphere()
-BoundarySpace = Union[BranchedCover, BrieskornSphere, ThreeSphere]
+BoundarySpace = BranchedCover | BrieskornSphere | ThreeSphere
 
 
 class CobordismLabel(Enum):
@@ -125,7 +124,7 @@ class CobordismRecord(_Value):
     """
 
     __slots__ = ("label", "params", "handle_count", "orientation", "outgoing")
-    h1_z2_trivial: ClassVar[bool] = True
+    h1_z2_trivial = True
 
     def __init__(self, label: CobordismLabel, params: SatelliteParams, handle_count: int, orientation: int = 1):
         orientation = _validate_sign(orientation)

@@ -17,7 +17,6 @@ and the columns of a gluing matrix are the images of (mu, lambda).
 from __future__ import annotations
 
 import math
-from typing import ClassVar
 
 from .cobordisms import THREE_SPHERE, SatelliteParams, ThreeSphere
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
@@ -115,7 +114,7 @@ class CoverDecomposition(_Value):
     """
 
     __slots__ = ("exterior_link",)
-    companion_copies: ClassVar[int] = 2
+    companion_copies = 2
 
     def __init__(self, exterior_link: TorusLinkExterior):
         self._set(exterior_link)

@@ -8,8 +8,8 @@ a triple (p, q, k) always refers to that sphere.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import InvalidParams, _shown, _validate_ints, _Value
 

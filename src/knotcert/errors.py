@@ -8,8 +8,8 @@ this lowest layer so that every module can use it without loading another.
 """
 
 import operator
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 
 class KnotcertError(Exception):
@@ -36,8 +36,16 @@ class AllZeroCoefficients(KnotcertError, ValueError):
 def _validate_ints(values: Iterable, name: str) -> list[int]:
     """The one rule for integer input: each value passes operator.index, so
     int, bool and numpy integers become ints, and a float, str or Fraction
-    raises InvalidParams instead of being truncated."""
-    values = tuple(values)  # an iterator is read once; a tuple is not copied
+    raises InvalidParams instead of being truncated.  So does values itself
+    when it is not iterable (an int where a sequence belongs)."""
+    try:
+        values = tuple(values)  # an iterator is read once; a tuple is not copied
+    except TypeError:
+        try:
+            iter(values)
+        except TypeError:
+            raise InvalidParams(f"{name} must come in a sequence, got {_shown(values, repr)}") from None
+        raise
     try:
         return list(map(operator.index, values))
     except TypeError:

@@ -9,7 +9,7 @@ into floats.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import Definiteness, InvalidParams, _shown, _validate_ints, _Value
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import ClassVar, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .cobordisms import BoundaryComponent, CobordismLabel, CobordismRecord, SatelliteParams, build_Z
 from .cs_invariants import _growth, _validate_triple, _validate_twist
@@ -86,7 +86,7 @@ class AssembledManifold(_Value):
     The pieces have trivial H_1, so h1_z2_trivial is constant."""
 
     __slots__ = ("boundary", "rank", "normalization_note")
-    h1_z2_trivial: ClassVar[bool] = True
+    h1_z2_trivial = True
 
     def __init__(self, boundary: tuple[BoundaryComponent, ...], rank: int, normalization_note: str | None = None):
         self._set(boundary, rank, normalization_note)
@@ -97,8 +97,8 @@ class IndependenceCertificate(_Value):
     (all ones if none), both derived from the family and combination at construction."""
 
     __slots__ = ("family", "coefficients_tested", "chain_checks", "assembled_boundary")
-    total_form_definiteness: ClassVar[Definiteness] = Definiteness.NEGATIVE_DEFINITE
-    h1_z2_trivial: ClassVar[bool] = True
+    total_form_definiteness = Definiteness.NEGATIVE_DEFINITE
+    h1_z2_trivial = True
 
     def __init__(self, family: Family, coefficients_tested: Iterable[int] | None = None):
         tested, members = coefficients_tested, family.members

@@ -167,3 +167,10 @@ def test_reverse_is_an_involution():
 def test_three_sphere_reversal_is_identity():
     s = ThreeSphere()
     assert s.reversed() == s
+
+
+@pytest.mark.parametrize("multiplicity", [0, -1])
+def test_boundary_component_refuses_a_multiplicity_below_one(multiplicity):
+    sphere = BrieskornSphere(2, 3, 5)
+    with pytest.raises(InvalidParams, match=f"^multiplicity must be >= 1, got {multiplicity}$"):
+        BoundaryComponent(sphere, multiplicity)

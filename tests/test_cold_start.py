@@ -1,15 +1,18 @@
 """What a fresh process loads: `import knotcert` loads no submodule,
 `knotcert.exactmath` loads no other layer and no `fractions`, each command
 loads only the layers it calls, no command or demo 01 needs mpmath, which
-only the tests' oracles use, and no command or layer loads `dataclasses` or
-`inspect`, which the value types do without.
+only the tests' oracles use, and no command or layer loads `dataclasses`,
+`inspect`, `typing` or `csv`, which the package does without.
 
 Each check runs in a new interpreter, because the imports of other tests in
-this process would hide a module that is loaded too early.
+this process would hide a module that is loaded too early.  It starts with
+-S, so no site hook (a .pth file that imports a package at start-up) loads
+standard modules before knotcert does, and finds knotcert through PYTHONPATH.
 """
 
 import ast
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -53,9 +56,13 @@ COMMANDS = [
 
 
 def run_fresh(code: str):
-    """Run code in a new interpreter and return the JSON it prints."""
+    """Run code in a new interpreter without site and return the JSON it prints."""
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     return json.loads(proc.stdout)
 
@@ -149,7 +156,11 @@ def test_certification_loads_neither_the_surgery_derivation_nor_r():
 LAYERS = ["cli", "cobordisms", "covers", "cs_invariants", "errors", "exactmath", "fs_invariant", "obstruction"]
 
 
-def test_no_command_or_layer_loads_dataclasses_or_inspect():
+# Standard modules the package does without.
+UNNEEDED = ["dataclasses", "inspect", "typing", "csv"]
+
+
+def test_no_command_or_layer_loads_dataclasses_inspect_typing_or_csv():
     loaded = run_fresh(
         f"""
         import json, sys
@@ -157,13 +168,13 @@ def test_no_command_or_layer_loads_dataclasses_or_inspect():
         codes = [dispatch(argv)[0] for argv in {COMMANDS!r}]
         for layer in {LAYERS!r}:
             __import__("knotcert." + layer)
-        print(json.dumps({{"codes": codes, "loaded": [m for m in ("dataclasses", "inspect") if m in sys.modules]}}))
+        print(json.dumps({{"codes": codes, "loaded": [m for m in {UNNEEDED!r} if m in sys.modules]}}))
         """
     )
     assert loaded == {"codes": [0] * len(COMMANDS), "loaded": []}
 
 
-def test_no_package_module_imports_dataclasses():
+def test_no_package_module_imports_typing_csv_or_dataclasses():
     importers = []
     for path in sorted((ROOT / "src" / "knotcert").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -173,7 +184,7 @@ def test_no_package_module_imports_dataclasses():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
+            if any(name.split(".")[0] in ("dataclasses", "typing", "csv") for name in names):
                 importers.append(path.name)
     assert importers == []
     assert sorted(p.stem for p in (ROOT / "src" / "knotcert").glob("*.py")) == sorted(

@@ -67,6 +67,12 @@ def test_gluing_map_must_be_unimodular():
         TorusGluingMap(((2, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("matrix", [((1, 0),), ((1, 0), (0, 1), (0, 0)), ((1, 0, 0), (0, 1, 0)), ((1,), (0, 1))])
+def test_gluing_map_must_be_2x2(matrix):
+    with pytest.raises(InvalidParams, match="^gluing matrix must be 2x2$"):
+        TorusGluingMap(matrix)
+
+
 def test_slope_canonicalization():
     assert Slope(-1, -2) == Slope(1, 2)
     assert Slope(2, -3) == Slope(-2, 3)

@@ -16,6 +16,7 @@ from knotcert import (
     H1Data,
     InvalidParams,
     SatelliteParams,
+    TauValue,
     certify_family,
     compactness_check,
     count_reducibles,
@@ -72,6 +73,13 @@ def test_tau_range_and_lens_bound_dominates_pontryagin():
         tau = tau_brieskorn_family(p, q, k).value
         assert 0 < tau < 4
         assert pontryagin_number(p, q, k) < lens_cs_lower_bound(p, q, k)
+
+
+def test_tau_value_lies_in_zero_to_four():
+    assert TauValue(Fraction(4)).value == 4
+    for value, shown in [(Fraction(0), "0"), (Fraction(-1, 3), "-1/3"), (Fraction(41, 10), "41/10")]:
+        with pytest.raises(InvalidParams, match=f"^tau must lie in \\(0, 4\\], got {shown}$"):
+            TauValue(value)
 
 
 def test_compactness_examples():

@@ -204,6 +204,26 @@ def test_every_site_applies_the_same_integer_rule(site, fn, v):
             fn(bad)
 
 
+# (entry point, a call that passes an int where integers come in a sequence,
+# the message).
+NOT_A_SEQUENCE = [
+    ("SymIntMatrix", lambda: SymIntMatrix([1, 2]), "a matrix entry must come in a sequence, got 1"),
+    ("smith_normal_form", lambda: smith_normal_form([1, 2]), "a matrix entry must come in a sequence, got 1"),
+    ("TorusGluingMap", lambda: TorusGluingMap((1, 2)), "a gluing matrix entry must come in a sequence, got 1"),
+    ("assemble_X", lambda: assemble_X(PAIR, 1), "a coefficient must come in a sequence, got 1"),
+    ("certify_family", lambda: certify_family(PAIR, 3), "a coefficient must come in a sequence, got 3"),
+    ("furuta_chain_check", lambda: furuta_chain_check([5]), "each of p, q, k must come in a sequence, got 5"),
+    ("compactness_check", lambda: compactness_check([], 5), "each of p, q, k must come in a sequence, got 5"),
+]
+
+
+@pytest.mark.parametrize("site, call, message", NOT_A_SEQUENCE, ids=[site[0] for site in NOT_A_SEQUENCE])
+def test_an_int_where_a_sequence_belongs_is_invalid_params(site, call, message):
+    with pytest.raises(InvalidParams) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_the_integer_rule_stores_ints_and_reads_an_iterator_once():
     assert _validate_ints(iter([True, numpy.int64(-3), 2**70]), "x") == [1, -3, 2**70]
     with pytest.raises(InvalidParams, match=r"^count must be an integer, got 2\.5$"):
