@@ -10,7 +10,7 @@ growth criterion that certifies infinite families independent in the smooth
 concordance group.  All certificate arithmetic is exact.
 """
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 # Public name -> the submodule that defines it.  Names resolve on first access
 # (PEP 562), so `import knotcert` loads no submodule and no mpmath.

@@ -20,7 +20,7 @@ import math
 
 from .cobordisms import THREE_SPHERE, SatelliteParams, ThreeSphere
 from .cs_invariants import BrieskornSphere, _validate_sign, _validate_triple, _validate_twist
-from .errors import InvalidParams, UnsupportedSlope, _shown, _validate_ints, _Value
+from .errors import InvalidParams, UnsupportedSlope, _sequence, _shown, _validate_ints, _Value
 
 # Target-basis classes killed by a filling: the meridian disk class m and
 # the longitude class l of the filled solid torus.
@@ -59,7 +59,8 @@ class TorusGluingMap(_Value):
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: tuple[tuple[int, int], tuple[int, int]]):
-        m = tuple(tuple(_validate_ints(row, "a gluing matrix entry")) for row in matrix)
+        rows = _sequence(matrix, "gluing matrix rows")
+        m = tuple(tuple(_validate_ints(row, "a gluing matrix entry")) for row in rows)
         if len(m) != 2 or any(len(r) != 2 for r in m):
             raise InvalidParams("gluing matrix must be 2x2")
         self._set(m)

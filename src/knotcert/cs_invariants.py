@@ -11,7 +11,7 @@ import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .errors import InvalidParams, _shown, _validate_ints, _Value
+from .errors import InvalidParams, _sequence, _shown, _validate_ints, _Value
 
 
 def _validate_triple(triple: Sequence[int]) -> list[int]:
@@ -206,7 +206,7 @@ def compactness_check(
         CompactnessCheck("p1 < 4 (no bubbling)", p1, Fraction(4)),
         CompactnessCheck(lens, p1, _lens_bound(pN, qN, kN)),
     ]
-    for p, q, k in map(_validate_triple, boundary):
+    for p, q, k in map(_validate_triple, _sequence(boundary, "boundary triples")):
         label = f"p1 < tau({','.join(map(_shown, (p, q, k)))})"
         checks.append(CompactnessCheck(label, p1, Fraction(1, _growth(p, q, k))))
     return CompactnessReport(tuple(checks))

@@ -1,6 +1,6 @@
 """The layer every module shares: the exception types, the one integer-input
-rule, _shown (the one way a message shows a caller's value), _Value (the base
-of every value type) and Definiteness.
+rule and its sequence rule, _shown (the one way a message shows a caller's
+value), _Value (the base of every value type) and Definiteness.
 
 Every domain error derives from KnotcertError so callers (and the CLI) can
 distinguish invalid mathematical input from genuine bugs.  All of it sits in
@@ -33,19 +33,25 @@ class AllZeroCoefficients(KnotcertError, ValueError):
     """A linear combination needs at least one nonzero coefficient."""
 
 
-def _validate_ints(values: Iterable, name: str) -> list[int]:
-    """The one rule for integer input: each value passes operator.index, so
-    int, bool and numpy integers become ints, and a float, str or Fraction
-    raises InvalidParams instead of being truncated.  So does values itself
-    when it is not iterable (an int where a sequence belongs)."""
+def _sequence(values: Iterable, name: str) -> tuple:
+    """values as a tuple, or InvalidParams naming them when values is not
+    iterable (an int where a sequence belongs)."""
     try:
-        values = tuple(values)  # an iterator is read once; a tuple is not copied
+        return tuple(values)  # an iterator is read once; a tuple is not copied
     except TypeError:
         try:
             iter(values)
         except TypeError:
             raise InvalidParams(f"{name} must come in a sequence, got {_shown(values, repr)}") from None
         raise
+
+
+def _validate_ints(values: Iterable, name: str) -> list[int]:
+    """The one rule for integer input: each value passes operator.index, so
+    int, bool and numpy integers become ints, and a float, str or Fraction
+    raises InvalidParams instead of being truncated.  So does values itself
+    when it is not iterable (_sequence)."""
+    values = _sequence(values, name)
     try:
         return list(map(operator.index, values))
     except TypeError:

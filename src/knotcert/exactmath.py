@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import Definiteness, InvalidParams, _shown, _validate_ints, _Value
+from .errors import Definiteness, InvalidParams, _sequence, _shown, _validate_ints, _Value
 
 
 class SymIntMatrix(_Value):
@@ -26,8 +26,9 @@ class SymIntMatrix(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        rows = _sequence(self.entries, "matrix rows")
         # Lists first: tuple(generator) resizes as it grows, fragmenting the heap.
-        rows = tuple([tuple(_validate_ints(row, "a matrix entry")) for row in self.entries])
+        rows = tuple([tuple(_validate_ints(row, "a matrix entry")) for row in rows])
         n = len(rows)
         if n == 0:
             raise InvalidParams("a form has dimension >= 1, got 0")
@@ -82,7 +83,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNFResult:
     row or column operation is one pass over a list, and left @ A @ right
     equals the diagonal by construction.
     """
-    rows = [_validate_ints(row, "a matrix entry") for row in m]
+    rows = [_validate_ints(row, "a matrix entry") for row in _sequence(m, "matrix rows")]
     if not rows or not rows[0]:
         raise InvalidParams("matrix must have at least one row and one column")
     nr, nc = len(rows), len(rows[0])

@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 
 from .cobordisms import BoundaryComponent, CobordismLabel, CobordismRecord, SatelliteParams, build_Z
 from .cs_invariants import _growth, _validate_triple, _validate_twist
-from .errors import AllZeroCoefficients, Definiteness, InvalidParams, _shown, _validate_ints, _Value
+from .errors import AllZeroCoefficients, Definiteness, InvalidParams, _sequence, _shown, _validate_ints, _Value
 
 
 class Family(_Value):
@@ -35,7 +35,7 @@ class Family(_Value):
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[SatelliteParams]):
-        members = tuple(members)
+        members = _sequence(members, "family members")
         if not members:
             raise InvalidParams("a family needs at least one member")
         for i, m in enumerate(members, 1):
@@ -126,7 +126,7 @@ def single_growth(m: SatelliteParams) -> int:
 def furuta_chain_check(triples: Sequence[Sequence[int]]) -> list[bool]:
     """Strict growth p_i q_i (k_i p_i q_i - 1) < p_{i+1} q_{i+1} (...) for
     each consecutive pair of (p, q, k) triples; exact integer comparisons."""
-    sizes = [_growth(*_validate_triple(t)) for t in triples]
+    sizes = [_growth(*_validate_triple(t)) for t in _sequence(triples, "(p, q, k) triples")]
     return [c.ok for c in _chain_checks(sizes[:-1], sizes[1:])]
 
 

@@ -106,16 +106,22 @@ def box_definiteness_oracle(rows, bound: int = 3) -> str:
 
     Degenerate iff the determinant vanishes; otherwise the form is scanned
     over every nonzero integer vector with coordinates in [-bound, bound]
-    (early exit once values of both signs have been seen).
+    (early exit once values of both signs have been seen).  The scan runs in
+    float64, which is exact: every value and partial sum is at most
+    bound**2 * sum(|m_ij|) in absolute value, and a form where that reaches
+    2**53 is refused.
     """
     if det_exact(rows) == 0:
         return "Degenerate"
-    m = np.array(rows, dtype=np.int64)
+    if bound**2 * sum(abs(x) for row in rows for x in row) >= 2**53:
+        raise ValueError("entries too large for an exact float64 scan")
+    m = np.array(rows, dtype=np.float64)
     vectors = _box_vectors(m.shape[0], bound)
     seen_nonpos = seen_nonneg = False
     for start in range(0, len(vectors), 250_000):
-        v = vectors[start : start + 250_000].astype(np.int64)
-        vals = np.einsum("ij,jk,ik->i", v, m, v)
+        # Cast per chunk: a float64 copy of the whole 8-dimensional box would hold 369 MB.
+        v = vectors[start : start + 250_000].astype(np.float64)
+        vals = np.einsum("ij,ij->i", v @ m, v)  # row-wise dot; ((v @ m) * v).sum(axis=1) is slower
         seen_nonpos = seen_nonpos or bool((vals <= 0).any())
         seen_nonneg = seen_nonneg or bool((vals >= 0).any())
         if seen_nonpos and seen_nonneg:

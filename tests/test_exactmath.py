@@ -234,6 +234,12 @@ def test_definiteness_agrees_with_box_oracle():
         assert definiteness(SymIntMatrix.from_rows(rows)).value == box_definiteness_oracle(rows)
 
 
+def test_box_oracle_refuses_forms_its_float_scan_could_round():
+    assert box_definiteness_oracle([[2**53 // 9 - 1]]) == "PositiveDefinite"
+    with pytest.raises(ValueError, match="too large"):
+        box_definiteness_oracle([[2**53 // 9 + 1]])
+
+
 @st.composite
 def congruent_forms(draw):
     """(rows, expected class): diag(D) + hyperbolic planes, optionally scaled

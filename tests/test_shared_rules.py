@@ -1,6 +1,7 @@
 """Rules that live in one place, and facts that hold without a runtime check.
 
-The integer rule, the (p, q, k) validation (its length included), the
+The integer rule, the sequence rule (an int where rows, members, triples
+or integers belong), the (p, q, k) validation (its length included), the
 twist rule and the orientation rule are each one helper called from every
 site that takes such a value; a form's dimension >= 1 belongs to the SymIntMatrix constructor and
 Z's crossing count >= 1 to CobordismRecord.  The package source holds no
@@ -204,8 +205,8 @@ def test_every_site_applies_the_same_integer_rule(site, fn, v):
             fn(bad)
 
 
-# (entry point, a call that passes an int where integers come in a sequence,
-# the message).
+# (entry point, a call that passes an int where integers, or rows, members or
+# triples, come in a sequence, the message naming that sequence).
 NOT_A_SEQUENCE = [
     ("SymIntMatrix", lambda: SymIntMatrix([1, 2]), "a matrix entry must come in a sequence, got 1"),
     ("smith_normal_form", lambda: smith_normal_form([1, 2]), "a matrix entry must come in a sequence, got 1"),
@@ -214,6 +215,12 @@ NOT_A_SEQUENCE = [
     ("certify_family", lambda: certify_family(PAIR, 3), "a coefficient must come in a sequence, got 3"),
     ("furuta_chain_check", lambda: furuta_chain_check([5]), "each of p, q, k must come in a sequence, got 5"),
     ("compactness_check", lambda: compactness_check([], 5), "each of p, q, k must come in a sequence, got 5"),
+    ("SymIntMatrix(5)", lambda: SymIntMatrix(5), "matrix rows must come in a sequence, got 5"),
+    ("smith_normal_form(5)", lambda: smith_normal_form(5), "matrix rows must come in a sequence, got 5"),
+    ("TorusGluingMap(5)", lambda: TorusGluingMap(5), "gluing matrix rows must come in a sequence, got 5"),
+    ("Family(5)", lambda: Family(5), "family members must come in a sequence, got 5"),
+    ("compactness_check(5, ...)", lambda: compactness_check(5, (2, 3, 1)), "boundary triples must come in a sequence, got 5"),
+    ("furuta_chain_check(5)", lambda: furuta_chain_check(5), "(p, q, k) triples must come in a sequence, got 5"),
 ]
 
 
